@@ -253,6 +253,7 @@ func benchFlow(b *testing.B, design *ppatuner.Design, space *ppatuner.Space) {
 		u[i] = 0.5
 	}
 	cfg := space.MustConfig(u)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := ppatuner.RunFlow(design, cfg); err != nil {

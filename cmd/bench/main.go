@@ -1,18 +1,21 @@
 // Command bench runs the GP hot-path micro-benchmarks (internal/gpbench) and
-// writes the results to a JSON file, giving every PR a machine-readable perf
-// trajectory for the surrogate loop:
+// the flow-simulator benchmarks (one pdtool.Run per op on each MAC design),
+// and writes the results to a JSON file, giving every PR a machine-readable
+// perf trajectory for the surrogate loop and the tool it tunes:
 //
 //	go run ./cmd/bench -o BENCH_gp.json
 //
 // The same benchmarks are exposed to `go test -bench` as BenchmarkFitRefit,
-// BenchmarkPredictPool and BenchmarkAddTarget in the root package; this
-// command exists so CI can archive the numbers without scraping test output.
+// BenchmarkPredictPool, BenchmarkAddTarget and BenchmarkFlow{Small,Large}MAC
+// in the root package; this command exists so CI can archive the numbers
+// without scraping test output.
 //
 // With -against BASELINE.json the command additionally acts as a regression
 // gate: after measuring, it compares fresh ns/op to the baseline's and exits
-// 1 on a regression. FitRefit gates at -maxregress (a fraction; 0.25 allows
-// +25%); PredictPool and AddTarget are much shorter-running and therefore
-// noisier on shared CI hosts, so they gate at the wider -maxregress-micro.
+// 1 on a regression. FitRefit and the two flow rows gate at -maxregress (a
+// fraction; 0.25 allows +25%); PredictPool and AddTarget are much
+// shorter-running and therefore noisier on shared CI hosts, so they gate at
+// the wider -maxregress-micro.
 // Benchmarks present in only one report are informational.
 //
 // -scale additionally runs the exact-vs-sparse scale suite (FitScale etc. at
@@ -32,6 +35,8 @@ import (
 
 	"ppatuner/internal/gp"
 	"ppatuner/internal/gpbench"
+	"ppatuner/internal/param"
+	"ppatuner/internal/pdtool"
 )
 
 // Result is one benchmark measurement.
@@ -69,11 +74,35 @@ func run(name string, fn func(*testing.B)) Result {
 	}
 }
 
+// flowBench times one flow run of the design at the centre of the space,
+// the workload of the root package's BenchmarkFlow*.
+func flowBench(design func() (*pdtool.Design, error), space *param.Space) func(*testing.B) {
+	return func(b *testing.B) {
+		d, err := design()
+		if err != nil {
+			b.Fatal(err)
+		}
+		u := make([]float64, space.Dim())
+		for i := range u {
+			u[i] = 0.5
+		}
+		cfg := space.MustConfig(u)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := pdtool.Run(d, cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // gate compares the fresh measurements against a baseline report and returns
 // an error when a gated benchmark regressed beyond its allowed fraction.
-// FitRefit is long-running and gates tightly (maxRegress); PredictPool and
-// AddTarget are microsecond-scale and gate at the wider maxMicro. Scale-suite
-// entries and benchmarks missing from either report are informational.
+// FitRefit and the flow rows are long-running and gate tightly
+// (maxRegress); PredictPool and AddTarget are microsecond-scale and gate at
+// the wider maxMicro. Scale-suite entries and benchmarks missing from either
+// report are informational.
 func gate(fresh Report, baselinePath string, maxRegress, maxMicro float64) error {
 	data, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -88,9 +117,11 @@ func gate(fresh Report, baselinePath string, maxRegress, maxMicro float64) error
 			base.GOMAXPROCS, fresh.GOMAXPROCS)
 	}
 	allowed := map[string]float64{
-		"FitRefit":    maxRegress,
-		"PredictPool": maxMicro,
-		"AddTarget":   maxMicro,
+		"FitRefit":     maxRegress,
+		"PredictPool":  maxMicro,
+		"AddTarget":    maxMicro,
+		"FlowSmallMAC": maxRegress,
+		"FlowLargeMAC": maxRegress,
 	}
 	baseNs := make(map[string]float64, len(base.Results))
 	for _, r := range base.Results {
@@ -126,7 +157,7 @@ func main() {
 	out := flag.String("o", "BENCH_gp.json", "output file for the JSON benchmark report")
 	benchtime := flag.String("benchtime", "", "per-benchmark budget as a duration or iteration count (e.g. 2s, 1x); empty keeps the testing default")
 	against := flag.String("against", "", "baseline BENCH_gp.json to gate against; exit 1 if a gated benchmark regresses beyond its margin")
-	maxRegress := flag.Float64("maxregress", 0.25, "allowed FitRefit ns/op regression vs -against, as a fraction (0.25 = +25%)")
+	maxRegress := flag.Float64("maxregress", 0.25, "allowed FitRefit and flow ns/op regression vs -against, as a fraction (0.25 = +25%)")
 	maxMicro := flag.Float64("maxregress-micro", 0.75, "allowed PredictPool/AddTarget ns/op regression vs -against; wider than -maxregress because microsecond-scale benchmarks are noisier on shared hosts")
 	scale := flag.Bool("scale", false, "also run the exact-vs-sparse scale suite (n up to 5000; pair with -benchtime 1x)")
 	workers := flag.Int("workers", 1, "SetWorkers value for every benchmarked surrogate (recorded in the report)")
@@ -156,6 +187,8 @@ func main() {
 		{"FitRefit", gpbench.FitRefit},
 		{"PredictPool", gpbench.PredictPool},
 		{"AddTarget", gpbench.AddTarget},
+		{"FlowSmallMAC", flowBench(pdtool.NewSmallMAC, param.Target1Space())},
+		{"FlowLargeMAC", flowBench(pdtool.NewLargeMAC, param.Target2Space())},
 	}
 	if *scale {
 		for _, sb := range []struct {

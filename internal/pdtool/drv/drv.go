@@ -69,19 +69,14 @@ func Fix(nl *netlist.Netlist, l *lib.Library, pl *place.Result, lm Limits) (*Res
 	buf := l.Cell(lib.Buf)
 	res := &Result{Fix: make([]NetFix, len(nl.Nets))}
 	for id, net := range nl.Nets {
-		length := place.NetLength(nl, pl, id)
-		var sinkCap float64
-		for _, s := range net.Sinks {
-			c := l.Scaled(nl.Cells[s].Kind, nl.Cells[s].Size)
-			sinkCap += c.InCap
-		}
-		load := sinkCap + l.WireCapPerUm*length
+		length := pl.NetLen[id]
+		load := sinkCapFF(l, nl, net.Sinks) + l.WireCapPerUm*length
 
 		// Driver resistance: PI nets assume a nominal pad driver.
 		driveRes := 1.2
 		if net.Driver >= 0 {
 			dc := nl.Cells[net.Driver]
-			driveRes = l.Scaled(dc.Kind, dc.Size).DriveRes
+			driveRes = l.DriveRes(dc.Kind, dc.Size)
 		}
 		trans := 2.2 * driveRes * load // RC ramp estimate, ps
 
@@ -128,22 +123,6 @@ func boolTo01(b bool) float64 {
 	return 0
 }
 
-// NetDelayPS returns the total net delay (driver-output to sink-input) in ps
-// under the buffering plan: the driver's stage plus each buffer stage, each
-// an Elmore segment, plus buffer intrinsic delays.
-func (r *Result) NetDelayPS(l *lib.Library, driveResKOhm float64, netID int, rcFactor float64, routedDetour float64) float64 {
-	f := r.Fix[netID]
-	buf := l.Cell(lib.Buf)
-	segLen := f.StageLenUm * routedDetour
-	// First stage driven by the original driver.
-	d := l.WireDelayPS(driveResKOhm, segLen, f.StageLoadFF) * rcFactor
-	// Subsequent stages driven by buffers.
-	for s := 1; s < f.Stages; s++ {
-		d += buf.Intrinsic + l.WireDelayPS(buf.DriveRes, segLen, f.StageLoadFF)*rcFactor
-	}
-	return d
-}
-
 // NetCapFF returns the total switched capacitance of the net including
 // inserted buffer input pins and the routed wire. Congestion detours are
 // damped: scenic routes concentrate on the minority of nets crossing hot
@@ -151,13 +130,18 @@ func (r *Result) NetDelayPS(l *lib.Library, driveResKOhm float64, netID int, rcF
 // what total switched capacitance sees — moves much less.
 func (r *Result) NetCapFF(l *lib.Library, nl *netlist.Netlist, netID int, routedDetour float64) float64 {
 	f := r.Fix[netID]
-	var sinkCap float64
-	for _, s := range nl.Nets[netID].Sinks {
-		c := l.Scaled(nl.Cells[s].Kind, nl.Cells[s].Size)
-		sinkCap += c.InCap
-	}
+	sinkCap := sinkCapFF(l, nl, nl.Nets[netID].Sinks)
 	capDetour := 1 + 0.3*(routedDetour-1)
 	wire := l.WireCapPerUm * f.StageLenUm * float64(f.Stages) * capDetour
 	bufCap := float64(f.Buffers()) * l.Cell(lib.Buf).InCap
 	return sinkCap + wire + bufCap
+}
+
+// sinkCapFF sums the input pin capacitance of the sink cells.
+func sinkCapFF(l *lib.Library, nl *netlist.Netlist, sinks []int) float64 {
+	var c float64
+	for _, s := range sinks {
+		c += l.InCap(nl.Cells[s].Kind, nl.Cells[s].Size)
+	}
+	return c
 }

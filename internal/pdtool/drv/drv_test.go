@@ -129,46 +129,6 @@ func TestLimitsValidate(t *testing.T) {
 	}
 }
 
-func TestNetDelayBufferingLongNetHelps(t *testing.T) {
-	nl, l, pl := placed(t)
-	// Pick the longest net.
-	best, bestLen := -1, 0.0
-	for id := range nl.Nets {
-		if ln := place.NetLength(nl, pl, id); ln > bestLen {
-			best, bestLen = id, ln
-		}
-	}
-	if best < 0 || bestLen == 0 {
-		t.Skip("no nonzero-length nets")
-	}
-	unbuf, err := Fix(nl, l, pl, relaxed())
-	if err != nil {
-		t.Fatal(err)
-	}
-	lm := relaxed()
-	lm.MaxLenUm = bestLen / 3
-	buf, err := Fix(nl, l, pl, lm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if buf.Fix[best].Stages < 2 {
-		t.Fatalf("longest net not split: %d stages", buf.Fix[best].Stages)
-	}
-	driver := nl.Nets[best].Driver
-	dres := 1.2
-	if driver >= 0 {
-		dres = l.Scaled(nl.Cells[driver].Kind, nl.Cells[driver].Size).DriveRes
-	}
-	dU := unbuf.NetDelayPS(l, dres, best, 1.0, 1.0)
-	dB := buf.NetDelayPS(l, dres, best, 1.0, 1.0)
-	// Splitting a wire-RC-dominated net should not make it dramatically
-	// slower; for long nets it usually helps. Allow a generous margin to
-	// avoid over-fitting the model, but catch sign errors.
-	if dB > 2*dU {
-		t.Errorf("buffered delay %g ps vs unbuffered %g ps: buffering exploded", dB, dU)
-	}
-}
-
 func TestNetCapIncludesBuffers(t *testing.T) {
 	nl, l, pl := placed(t)
 	unbuf, err := Fix(nl, l, pl, relaxed())

@@ -17,6 +17,7 @@ import (
 	"ppatuner/internal/pdtool/lib"
 	"ppatuner/internal/pdtool/netlist"
 	"ppatuner/internal/pdtool/place"
+	"ppatuner/internal/pdtool/power"
 	"ppatuner/internal/pdtool/route"
 	"ppatuner/internal/pdtool/sta"
 )
@@ -96,29 +97,26 @@ var (
 // killed by a bad build. The netlist is immutable; Run copies what it
 // mutates.
 func NewSmallMAC() (*Design, error) {
-	smallOnce.Do(func() {
-		nl, err := netlist.MAC("mac-small", 24)
-		if err != nil {
-			smallErr = fmt.Errorf("pdtool: build mac-small: %w", err)
-			return
-		}
-		smallMAC = &Design{Name: "mac-small", NL: nl, Lib: lib.Default7nm()}
-	})
+	smallOnce.Do(func() { smallMAC, smallErr = buildMAC("mac-small", 24) })
 	return smallMAC, smallErr
 }
 
 // NewLargeMAC builds (once, cached) the ~9.5k-cell MAC standing in for the
 // paper's 67k-cell design; error-returning like NewSmallMAC.
 func NewLargeMAC() (*Design, error) {
-	largeOnce.Do(func() {
-		nl, err := netlist.MAC("mac-large", 44)
-		if err != nil {
-			largeErr = fmt.Errorf("pdtool: build mac-large: %w", err)
-			return
-		}
-		largeMAC = &Design{Name: "mac-large", NL: nl, Lib: lib.Default7nm()}
-	})
+	largeOnce.Do(func() { largeMAC, largeErr = buildMAC("mac-large", 44) })
 	return largeMAC, largeErr
+}
+
+// buildMAC builds a MAC design for the process-lifetime cache, compacted
+// because it is kept for as long as the process runs.
+func buildMAC(name string, width int) (*Design, error) {
+	nl, err := netlist.MAC(name, width)
+	if err != nil {
+		return nil, fmt.Errorf("pdtool: build %s: %w", name, err)
+	}
+	nl.Compact()
+	return &Design{Name: name, NL: nl, Lib: lib.Default7nm()}, nil
 }
 
 // SmallMAC is the panicking convenience wrapper around NewSmallMAC, kept for
@@ -188,6 +186,12 @@ func Run(d *Design, cfg param.Config) (QoR, *Report, error) {
 	nlCopy := *d.NL
 	nlCopy.Cells = append([]netlist.Cell(nil), d.NL.Cells...)
 	nl := &nlCopy
+	// Sizing never changes the netlist's structure: one topology serves
+	// placement, timing and power.
+	topo, err := nl.Topology()
+	if err != nil {
+		return QoR{}, nil, fmt.Errorf("pdtool: topology: %w", err)
+	}
 
 	// ---- Placement.
 	pl, err := place.Place(nl, d.Lib, place.Options{
@@ -196,6 +200,7 @@ func Run(d *Design, cfg param.Config) (QoR, *Report, error) {
 		UniformDensity: uniform,
 		TimingWeight:   timingWeight,
 		Iterations:     placeIters,
+		Topo:           topo,
 	})
 	if err != nil {
 		return QoR{}, nil, fmt.Errorf("pdtool: place: %w", err)
@@ -233,13 +238,14 @@ func Run(d *Design, cfg param.Config) (QoR, *Report, error) {
 		MaxAllowedDelayPS: maxAllowedNS * 1000,
 		OptPasses:         optPasses,
 		MaxSize:           maxSize,
+		Topo:              topo,
 	})
 	if err != nil {
 		return QoR{}, nil, fmt.Errorf("pdtool: sta: %w", err)
 	}
 
 	// ---- Power at the target frequency.
-	pw, err := powerAnalyze(nl, d.Lib, fix, rt, ct, freq)
+	pw, err := power.Analyze(nl, d.Lib, fix, rt, ct, power.Options{FreqMHz: freq, Topo: topo})
 	if err != nil {
 		return QoR{}, nil, fmt.Errorf("pdtool: power: %w", err)
 	}
@@ -253,7 +259,7 @@ func Run(d *Design, cfg param.Config) (QoR, *Report, error) {
 	areaUm2 *= 1 + 0.8*pl.Overflow + 0.15*math.Max(0, rt.MaxCongestion-0.8)
 
 	q := QoR{
-		PowerMW: pw,
+		PowerMW: pw.TotalMW(),
 		DelayNS: timing.AchievedPeriodPS / 1000,
 		AreaUm2: areaUm2,
 	}

@@ -197,3 +197,21 @@ func TestRunRejectsBadEffortString(t *testing.T) {
 		t.Error("invalid congestion effort accepted")
 	}
 }
+
+// TestRunAllocationBound pins the flow's allocation profile: each stage
+// sizes its buffers once per run, and the placement and timing loops reuse
+// them across iterations and passes.
+func TestRunAllocationBound(t *testing.T) {
+	d := LargeMAC()
+	cfg := midConfig(param.Target2Space())
+	var err error
+	allocs := testing.AllocsPerRun(3, func() {
+		_, _, err = Run(d, cfg)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs > 1000 {
+		t.Errorf("one large-MAC flow run allocates %.0f times, want <= 1000", allocs)
+	}
+}

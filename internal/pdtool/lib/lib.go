@@ -105,11 +105,21 @@ func Default7nm() *Library {
 }
 
 // Cell returns the characterisation of kind k.
-func (l *Library) Cell(k Kind) Cell {
-	if int(k) < 0 || int(k) >= int(numKinds) {
-		panic(fmt.Sprintf("lib: unknown cell kind %d", int(k)))
+func (l *Library) Cell(k Kind) Cell { return *l.cell(k) }
+
+func (l *Library) cell(k Kind) *Cell {
+	if uint(k) >= uint(numKinds) {
+		unknownKind(k)
 	}
-	return l.cells[k]
+	return &l.cells[k]
+}
+
+// unknownKind panics for an out-of-range kind. It is kept out of line so
+// Cell and the per-pin accessors stay inlinable.
+//
+//go:noinline
+func unknownKind(k Kind) {
+	panic(fmt.Sprintf("lib: unknown cell kind %d", int(k)))
 }
 
 // Kinds returns every kind defined by the library.
@@ -137,6 +147,14 @@ func (l *Library) Scaled(k Kind, size float64) Cell {
 	c.InternalEnergy *= size
 	return c
 }
+
+// InCap returns Scaled(k, size).InCap — the same product, bit for bit —
+// without copying the whole cell. The timing and DRV engines sum it over
+// every sink pin.
+func (l *Library) InCap(k Kind, size float64) float64 { return l.cell(k).InCap * max(size, 1) }
+
+// DriveRes returns Scaled(k, size).DriveRes without copying the cell.
+func (l *Library) DriveRes(k Kind, size float64) float64 { return l.cell(k).DriveRes / max(size, 1) }
 
 // WireDelayPS returns the Elmore delay in ps of a wire of length µm driving
 // load fF with driver resistance kΩ: R_drv·(C_wire + C_load) + R_wire·

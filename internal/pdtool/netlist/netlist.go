@@ -6,6 +6,7 @@ package netlist
 
 import (
 	"fmt"
+	"slices"
 
 	"ppatuner/internal/pdtool/lib"
 )
@@ -97,6 +98,29 @@ func (b *Builder) Build() (*Netlist, error) {
 	return &nl, nil
 }
 
+// Compact copies the cell and net tables, and every net's sink list, to
+// their exact lengths, dropping the spare capacity the Builder's appends
+// leave (a fifth of the tables for the MAC designs). Call it on a netlist
+// that is kept for long and no longer grows.
+func (nl *Netlist) Compact() {
+	nl.Cells = slices.Clone(nl.Cells)
+	nets := slices.Clone(nl.Nets)
+	total := 0
+	for _, n := range nets {
+		total += len(n.Sinks)
+	}
+	sinks := make([]int, 0, total)
+	for i := range nets {
+		if len(nets[i].Sinks) == 0 {
+			continue
+		}
+		start := len(sinks)
+		sinks = append(sinks, nets[i].Sinks...)
+		nets[i].Sinks = sinks[start:len(sinks):len(sinks)]
+	}
+	nl.Nets = nets
+}
+
 // Validate checks structural invariants: every net has a live driver or is a
 // primary input, every referenced net exists, and the combinational graph is
 // acyclic.
@@ -184,36 +208,40 @@ func (nl *Netlist) Levels() ([]int, error) {
 
 func isSequential(k lib.Kind) bool { return k == lib.DFF }
 
-// TopoOrder returns cell IDs in a combinationally consistent order
-// (registers first, then increasing logic depth).
-func (nl *Netlist) TopoOrder() ([]int, error) {
+// Topology is the combinational structure of a netlist: every cell's logic
+// level (see Levels) and a topological order (registers first, then
+// increasing logic depth, cell ID breaking ties). Sizing leaves it unchanged,
+// so a flow computes it once per run and hands it to every stage.
+type Topology struct {
+	Levels []int
+	Order  []int
+}
+
+// Topology computes the netlist's levels and topological order.
+func (nl *Netlist) Topology() (*Topology, error) {
 	lvl, err := nl.Levels()
 	if err != nil {
 		return nil, err
 	}
-	order := make([]int, len(nl.Cells))
-	for i := range order {
-		order[i] = i
-	}
-	// counting-sort by level for determinism and O(n)
+	// Counting sort by level: deterministic, O(n), stable in cell ID.
 	maxL := 0
 	for _, l := range lvl {
-		if l > maxL {
-			maxL = l
-		}
+		maxL = max(maxL, l)
 	}
-	buckets := make([][]int, maxL+1)
-	for _, ci := range order {
-		buckets[lvl[ci]] = append(buckets[lvl[ci]], ci)
+	start := make([]int, maxL+2)
+	for _, l := range lvl {
+		start[l+1]++
 	}
-	out := out0(len(order))
-	for _, b := range buckets {
-		out = append(out, b...)
+	for l := 1; l < len(start); l++ {
+		start[l] += start[l-1]
 	}
-	return out, nil
+	order := make([]int, len(lvl))
+	for ci, l := range lvl {
+		order[start[l]] = ci
+		start[l]++
+	}
+	return &Topology{Levels: lvl, Order: order}, nil
 }
-
-func out0(capacity int) []int { return make([]int, 0, capacity) }
 
 // Registers returns the cell IDs of all sequential cells.
 func (nl *Netlist) Registers() []int {

@@ -1,6 +1,8 @@
 package netlist
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"ppatuner/internal/pdtool/lib"
@@ -92,14 +94,17 @@ func TestTopoOrderRespectsLevels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	order, err := nl.TopoOrder()
+	topo, err := nl.Topology()
 	if err != nil {
 		t.Fatal(err)
 	}
+	order, lvl := topo.Order, topo.Levels
 	if len(order) != len(nl.Cells) {
 		t.Fatalf("order has %d cells, want %d", len(order), len(nl.Cells))
 	}
-	lvl, _ := nl.Levels()
+	if want, _ := nl.Levels(); !slices.Equal(lvl, want) {
+		t.Fatal("Topology levels differ from Levels")
+	}
 	pos := make([]int, len(order))
 	for i, ci := range order {
 		pos[ci] = i
@@ -212,6 +217,26 @@ func TestRegisters(t *testing.T) {
 	for _, r := range regs {
 		if nl.Cells[r].Kind != lib.DFF {
 			t.Errorf("cell %d in Registers() is %v", r, nl.Cells[r].Kind)
+		}
+	}
+}
+
+func TestCompactKeepsContent(t *testing.T) {
+	nl, err := MAC("m", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := MAC("m", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nl.Compact()
+	if !reflect.DeepEqual(nl, want) {
+		t.Fatal("Compact changed the netlist")
+	}
+	for id, n := range nl.Nets {
+		if cap(n.Sinks) != len(n.Sinks) {
+			t.Fatalf("net %d sinks %d/%d: a later append would overwrite the next net's sinks", id, len(n.Sinks), cap(n.Sinks))
 		}
 	}
 }

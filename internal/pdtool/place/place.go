@@ -32,6 +32,8 @@ type Options struct {
 	TimingWeight float64
 	// Iterations is the number of refine+legalise rounds (effort-derived).
 	Iterations int
+	// Topo is the netlist's precomputed topology; nil computes it here.
+	Topo *netlist.Topology
 }
 
 // Result is the placement outcome.
@@ -42,6 +44,9 @@ type Result struct {
 	BinUtil      []float64 // row-major bin utilisation (area / bin capacity)
 	Overflow     float64   // fraction of cell area in overfull bins
 	HPWL         float64   // total half-perimeter wirelength, µm
+	// NetLen[i] is net i's half-perimeter, µm: the routed-length estimate
+	// DRV fixing and routing read (0 for PI-driven and sinkless nets).
+	NetLen []float64
 }
 
 // Bin returns the bin index containing coordinate (x, y).
@@ -78,22 +83,35 @@ func Place(nl *netlist.Netlist, l *lib.Library, opt Options) (*Result, error) {
 		opt.Iterations = 8
 	}
 
-	area := nl.TotalArea(l)
-	coreArea := area / opt.TargetUtil
+	// Bin grid for legalisation.
+	bins := int(math.Sqrt(float64(n)/12)) + 4
+	ws := newWorkspace(n, bins*bins)
+	for ci, c := range nl.Cells {
+		ws.cellArea[ci] = l.Scaled(c.Kind, c.Size).Area
+		ws.totalArea += ws.cellArea[ci]
+	}
+	coreArea := ws.totalArea / opt.TargetUtil
 	side := math.Sqrt(coreArea)
 	res := &Result{
 		X:     make([]float64, n),
 		Y:     make([]float64, n),
 		CoreW: side,
 		CoreH: side,
+		BinsX: bins,
+		BinsY: bins,
+	}
+
+	topo := opt.Topo
+	if topo == nil {
+		var err error
+		if topo, err = nl.Topology(); err != nil {
+			return nil, err
+		}
 	}
 
 	// Initial placement: snake cells across the core in topological order so
 	// connected logic starts near its neighbours.
-	order, err := nl.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
+	order := topo.Order
 	cols := int(math.Ceil(math.Sqrt(float64(n))))
 	pitchX := side / float64(cols)
 	rows := (n + cols - 1) / cols
@@ -109,10 +127,7 @@ func Place(nl *netlist.Netlist, l *lib.Library, opt Options) (*Result, error) {
 
 	// Net weights: deeper logic gets stronger attraction under timing-driven
 	// placement.
-	lvl, err := nl.Levels()
-	if err != nil {
-		return nil, err
-	}
+	lvl := topo.Levels
 	maxLvl := 1
 	for _, lv := range lvl {
 		if lv > maxLvl {
@@ -132,58 +147,102 @@ func Place(nl *netlist.Netlist, l *lib.Library, opt Options) (*Result, error) {
 		netW[id] = w
 	}
 
-	// Bin grid for legalisation.
-	bins := int(math.Sqrt(float64(n)/12)) + 4
-	res.BinsX, res.BinsY = bins, bins
-
-	cellArea := make([]float64, n)
-	for ci, c := range nl.Cells {
-		cellArea[ci] = l.Scaled(c.Kind, c.Size).Area
-	}
-
 	for iter := 0; iter < opt.Iterations; iter++ {
 		step := 0.7 * math.Pow(0.85, float64(iter))
-		forceStep(nl, res, netW, step)
-		spread(nl, res, cellArea, opt, iter == opt.Iterations-1)
+		forceStep(nl, res, ws, netW, step)
+		spread(res, ws, opt, iter == opt.Iterations-1)
 	}
 
-	res.BinUtil, res.Overflow = binStats(res, cellArea, opt)
-	res.HPWL = hpwl(nl, res)
+	res.BinUtil, res.Overflow = binStats(res, ws.cellArea, opt)
+	res.NetLen, res.HPWL = netLengths(nl, res)
 	return res, nil
 }
 
+// workspace holds the buffers the refine+legalise rounds reuse, so the
+// rounds allocate nothing.
+type workspace struct {
+	cellArea  []float64 // per cell, µm²
+	totalArea float64   // sum of cellArea, µm²
+	pull      []pull    // per cell: weighted pull sums (forceStep)
+	util      []float64 // per bin: utilisation (spread)
+	// Each bin's members form a LIFO stack threaded through next: top[b]
+	// is the most recently added cell of bin b (-1 when empty), next[ci]
+	// the cell below ci, count[b] the stack depth.
+	top, count []int
+	next       []int
+}
+
+func newWorkspace(cells, bins int) *workspace {
+	return &workspace{
+		cellArea: make([]float64, cells),
+		pull:     make([]pull, cells),
+		util:     make([]float64, bins),
+		top:      make([]int, bins),
+		count:    make([]int, bins),
+		next:     make([]int, cells),
+	}
+}
+
+// push adds cell ci on top of bin b's stack.
+func (ws *workspace) push(b, ci int) {
+	ws.next[ci] = ws.top[b]
+	ws.top[b] = ci
+	ws.count[b]++
+}
+
+// pop removes and returns the top cell of bin b's stack.
+func (ws *workspace) pop(b int) int {
+	ci := ws.top[b]
+	ws.top[b] = ws.next[ci]
+	ws.count[b]--
+	return ci
+}
+
+// pull accumulates the weighted positions of a cell's neighbours and their
+// total weight, side by side in memory.
+type pull struct{ x, y, w float64 }
+
+// neighbours are the bin offsets spread tries, in preference order on ties.
+var neighbours = [8][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}, {1, 1}, {-1, -1}, {1, -1}, {-1, 1}}
+
 // forceStep moves every cell a fraction of the way toward the weighted
 // centroid of its connected cells.
-func forceStep(nl *netlist.Netlist, res *Result, netW []float64, step float64) {
-	n := len(nl.Cells)
-	sx := make([]float64, n)
-	sy := make([]float64, n)
-	sw := make([]float64, n)
-	addPull := func(a, b int, w float64) {
-		sx[a] += w * res.X[b]
-		sy[a] += w * res.Y[b]
-		sw[a] += w
-		sx[b] += w * res.X[a]
-		sy[b] += w * res.Y[a]
-		sw[b] += w
-	}
+//
+//ppalint:noalloc
+func forceStep(nl *netlist.Netlist, res *Result, ws *workspace, netW []float64, step float64) {
+	ps := ws.pull
+	clear(ps)
 	for id, net := range nl.Nets {
-		if net.Driver < 0 {
+		a := net.Driver
+		if a < 0 {
 			continue
 		}
+		// The driver's sums accumulate in pa: a sink equal to the driver
+		// is skipped, so nothing else updates them in this loop and the
+		// additions keep their order.
 		w := netW[id]
-		for _, s := range net.Sinks {
-			if s != net.Driver {
-				addPull(net.Driver, s, w)
+		xa, ya := res.X[a], res.Y[a]
+		pa := ps[a]
+		for _, b := range net.Sinks {
+			if b == a {
+				continue
 			}
+			pa.x += w * res.X[b]
+			pa.y += w * res.Y[b]
+			pa.w += w
+			pb := &ps[b]
+			pb.x += w * xa
+			pb.y += w * ya
+			pb.w += w
 		}
+		ps[a] = pa
 	}
-	for ci := 0; ci < n; ci++ {
-		if sw[ci] == 0 {
+	for ci, p := range ps {
+		if p.w == 0 {
 			continue
 		}
-		cx := sx[ci] / sw[ci]
-		cy := sy[ci] / sw[ci]
+		cx := p.x / p.w
+		cy := p.y / p.w
 		res.X[ci] += step * (cx - res.X[ci])
 		res.Y[ci] += step * (cy - res.Y[ci])
 		res.X[ci] = clamp(res.X[ci], 0, res.CoreW)
@@ -195,29 +254,32 @@ func forceStep(nl *netlist.Netlist, res *Result, netW []float64, step float64) {
 // least-full neighbouring bin. The density cap is MaxBinDensity, or the
 // average utilisation when UniformDensity is set (even spreading). The final
 // round always enforces the cap so the result respects the constraint.
-func spread(nl *netlist.Netlist, res *Result, cellArea []float64, opt Options, final bool) {
+//
+//ppalint:noalloc
+func spread(res *Result, ws *workspace, opt Options, final bool) {
+	cellArea := ws.cellArea
 	bx, by := res.BinsX, res.BinsY
 	binW := res.CoreW / float64(bx)
 	binH := res.CoreH / float64(by)
 	binCap := binW * binH
 
 	cap := opt.MaxBinDensity
-	var total float64
-	for _, a := range cellArea {
-		total += a
-	}
-	avg := total / (res.CoreW * res.CoreH)
+	avg := ws.totalArea / (res.CoreW * res.CoreH)
 	if opt.UniformDensity {
 		// Even distribution: allow only a little headroom above average.
 		cap = math.Min(cap, avg*1.15+0.02)
 	}
 
-	util := make([]float64, bx*by)
-	members := make([][]int, bx*by)
+	util := ws.util
+	clear(util)
+	clear(ws.count)
+	for b := range ws.top {
+		ws.top[b] = -1
+	}
 	for ci := range cellArea {
 		b := res.Bin(res.X[ci], res.Y[ci])
 		util[b] += cellArea[ci] / binCap
-		members[b] = append(members[b], ci)
+		ws.push(b, ci)
 	}
 	passes := 1
 	if final {
@@ -230,30 +292,34 @@ func spread(nl *netlist.Netlist, res *Result, cellArea []float64, opt Options, f
 				continue
 			}
 			cx, cy := b%bx, b/bx
+			var nbrs [len(neighbours)]int
+			k := 0
+			for _, d := range neighbours {
+				tx, ty := cx+d[0], cy+d[1]
+				if tx >= 0 && tx < bx && ty >= 0 && ty < by {
+					nbrs[k] = ty*bx + tx
+					k++
+				}
+			}
 			// Move the latest-arrived cells out to the least-full neighbour.
-			for util[b] > cap && len(members[b]) > 1 {
-				ci := members[b][len(members[b])-1]
-				members[b] = members[b][:len(members[b])-1]
-				nb, nx, ny := b, cx, cy
+			for util[b] > cap && ws.count[b] > 1 {
+				ci := ws.pop(b)
+				nb := b
 				bestU := math.Inf(1)
-				for _, d := range [][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}, {1, 1}, {-1, -1}, {1, -1}, {-1, 1}} {
-					tx, ty := cx+d[0], cy+d[1]
-					if tx < 0 || tx >= bx || ty < 0 || ty >= by {
-						continue
-					}
-					tb := ty*bx + tx
+				for _, tb := range nbrs[:k] {
 					if util[tb] < bestU {
 						bestU = util[tb]
-						nb, nx, ny = tb, tx, ty
+						nb = tb
 					}
 				}
 				if nb == b {
 					break
 				}
+				nx, ny := nb%bx, nb/bx
 				frac := cellArea[ci] / binCap
 				util[b] -= frac
 				util[nb] += frac
-				members[nb] = append(members[nb], ci)
+				ws.push(nb, ci)
 				res.X[ci] = (float64(nx) + 0.5) * binW
 				res.Y[ci] = (float64(ny) + 0.5) * binH
 				moved = true
@@ -284,41 +350,26 @@ func binStats(res *Result, cellArea []float64, opt Options) ([]float64, float64)
 	return util, over / total
 }
 
-// hpwl sums the half-perimeter bounding box of every net.
-func hpwl(nl *netlist.Netlist, res *Result) float64 {
+// netLengths returns every net's half-perimeter and their sum, the HPWL.
+func netLengths(nl *netlist.Netlist, res *Result) ([]float64, float64) {
+	lengths := make([]float64, len(nl.Nets))
 	var total float64
-	for _, net := range nl.Nets {
+	for id, net := range nl.Nets {
 		if net.Driver < 0 || len(net.Sinks) == 0 {
 			continue
 		}
 		minX, maxX := res.X[net.Driver], res.X[net.Driver]
 		minY, maxY := res.Y[net.Driver], res.Y[net.Driver]
 		for _, s := range net.Sinks {
-			minX = math.Min(minX, res.X[s])
-			maxX = math.Max(maxX, res.X[s])
-			minY = math.Min(minY, res.Y[s])
-			maxY = math.Max(maxY, res.Y[s])
+			minX = min(minX, res.X[s])
+			maxX = max(maxX, res.X[s])
+			minY = min(minY, res.Y[s])
+			maxY = max(maxY, res.Y[s])
 		}
-		total += (maxX - minX) + (maxY - minY)
+		lengths[id] = (maxX - minX) + (maxY - minY)
+		total += lengths[id]
 	}
-	return total
-}
-
-// NetLength estimates the routed length of one net as its half-perimeter.
-func NetLength(nl *netlist.Netlist, res *Result, netID int) float64 {
-	net := nl.Nets[netID]
-	if net.Driver < 0 || len(net.Sinks) == 0 {
-		return 0
-	}
-	minX, maxX := res.X[net.Driver], res.X[net.Driver]
-	minY, maxY := res.Y[net.Driver], res.Y[net.Driver]
-	for _, s := range net.Sinks {
-		minX = math.Min(minX, res.X[s])
-		maxX = math.Max(maxX, res.X[s])
-		minY = math.Min(minY, res.Y[s])
-		maxY = math.Max(maxY, res.Y[s])
-	}
-	return (maxX - minX) + (maxY - minY)
+	return lengths, total
 }
 
 func clamp(v, lo, hi float64) float64 {

@@ -195,11 +195,14 @@ func TestNetLengthMatchesHPWLSum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(res.NetLen) != len(nl.Nets) {
+		t.Fatalf("%d net lengths for %d nets", len(res.NetLen), len(nl.Nets))
+	}
 	var sum float64
-	for id := range nl.Nets {
-		sum += NetLength(nl, res, id)
+	for _, ln := range res.NetLen {
+		sum += ln
 	}
 	if math.Abs(sum-res.HPWL) > 1e-9*res.HPWL {
-		t.Errorf("sum of NetLength %g != HPWL %g", sum, res.HPWL)
+		t.Errorf("sum of NetLen %g != HPWL %g", sum, res.HPWL)
 	}
 }

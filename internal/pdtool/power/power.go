@@ -21,6 +21,8 @@ type Options struct {
 	// InputActivity is the toggle rate of primary inputs per cycle
 	// (default 0.25).
 	InputActivity float64
+	// Topo is the netlist's precomputed topology; nil computes it here.
+	Topo *netlist.Topology
 }
 
 // Breakdown reports power by component, in mW.
@@ -75,12 +77,15 @@ func Analyze(nl *netlist.Netlist, l *lib.Library, fix *drv.Result, rt *route.Res
 	for _, pi := range nl.PINets {
 		netAct[pi] = opt.InputActivity
 	}
-	order, err := nl.TopoOrder()
-	if err != nil {
-		return nil, err
+	topo := opt.Topo
+	if topo == nil {
+		var err error
+		if topo, err = nl.Topology(); err != nil {
+			return nil, err
+		}
 	}
 	cellAct := make([]float64, len(nl.Cells))
-	for _, ci := range order {
+	for _, ci := range topo.Order {
 		c := nl.Cells[ci]
 		if c.Kind == lib.DFF {
 			// Register outputs toggle at half the D activity (value changes).

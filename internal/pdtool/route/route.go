@@ -59,6 +59,9 @@ type Result struct {
 	OverflowUm float64
 }
 
+// neighbours are the bin offsets a rip-up pass may shift demand to.
+var neighbours = [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}}
+
 // Route computes per-net detours and congestion statistics.
 func Route(nl *netlist.Netlist, pl *place.Result, opt Options) (*Result, error) {
 	if opt.TrackPitchUm <= 0 {
@@ -103,7 +106,7 @@ func Route(nl *netlist.Netlist, pl *place.Result, opt Options) (*Result, error) 
 		}
 		return x, y
 	}
-	lengths := make([]float64, len(nl.Nets))
+	lengths := pl.NetLen
 	for id, net := range nl.Nets {
 		if net.Driver < 0 || len(net.Sinks) == 0 {
 			spans[id] = span{0, 0, 0, 0}
@@ -119,7 +122,6 @@ func Route(nl *netlist.Netlist, pl *place.Result, opt Options) (*Result, error) 
 			s.y1 = max(s.y1, y)
 		}
 		spans[id] = s
-		lengths[id] = place.NetLength(nl, pl, id)
 		addDemand(s, lengths[id])
 	}
 
@@ -144,7 +146,7 @@ func Route(nl *netlist.Netlist, pl *place.Result, opt Options) (*Result, error) 
 				excess := demand[b] - capacity
 				// Find least-loaded neighbour.
 				bestB, bestD := -1, math.Inf(1)
-				for _, d := range [][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}} {
+				for _, d := range neighbours {
 					tx, ty := x+d[0], y+d[1]
 					if tx < 0 || tx >= bx || ty < 0 || ty >= by {
 						continue
@@ -174,7 +176,7 @@ func Route(nl *netlist.Netlist, pl *place.Result, opt Options) (*Result, error) 
 	var congSum float64
 	occupied := 0
 	var overflow float64
-	for b, d := range demand {
+	for _, d := range demand {
 		ratio := d / capacity
 		if d > 0 {
 			congSum += ratio
@@ -186,7 +188,6 @@ func Route(nl *netlist.Netlist, pl *place.Result, opt Options) (*Result, error) 
 		if d > capacity {
 			overflow += d - capacity
 		}
-		_ = b
 	}
 	if occupied > 0 {
 		res.AvgCongestion = congSum / float64(occupied)
@@ -194,7 +195,12 @@ func Route(nl *netlist.Netlist, pl *place.Result, opt Options) (*Result, error) 
 	res.OverflowUm = overflow
 
 	// Per-net detour: average congestion over the net's span, plus the
-	// rip-up tax of rerouted demand crossing its bins.
+	// rip-up tax of rerouted demand crossing its bins. Both are summed per
+	// bin as ratios to capacity, so convert once.
+	for b := range demand {
+		demand[b] /= capacity
+		moved[b] /= capacity
+	}
 	for id := range nl.Nets {
 		s := spans[id]
 		if lengths[id] == 0 {
@@ -205,8 +211,8 @@ func Route(nl *netlist.Netlist, pl *place.Result, opt Options) (*Result, error) 
 		nb := 0
 		for y := s.y0; y <= s.y1; y++ {
 			for x := s.x0; x <= s.x1; x++ {
-				c += demand[y*bx+x] / capacity
-				m += moved[y*bx+x] / capacity
+				c += demand[y*bx+x]
+				m += moved[y*bx+x]
 				nb++
 			}
 		}
@@ -225,18 +231,4 @@ func Route(nl *netlist.Netlist, pl *place.Result, opt Options) (*Result, error) 
 		res.TotalWirelenUm += lengths[id] * detour
 	}
 	return res, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

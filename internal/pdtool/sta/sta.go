@@ -35,6 +35,8 @@ type Options struct {
 	OptPasses int
 	// MaxSize caps the drive-strength multiplier reached by upsizing.
 	MaxSize float64
+	// Topo is the netlist's precomputed topology; nil computes it here.
+	Topo *netlist.Topology
 }
 
 // Result reports timing.
@@ -66,17 +68,21 @@ type engine struct {
 	rt    *route.Result
 	opt   Options
 	order []int
-	// arrival[c] is the data arrival time at cell c's output, ps.
-	arrival []float64
-	// argmax[c] is the input net realising the arrival, for backtracing.
+	buf   lib.Cell // the DRV buffer cell
+	// argmax[c] is the input net realising the latest arrival at cell c,
+	// for backtracing.
 	argmax []int
-	// netArrive[n] is the arrival at the sink pins of net n.
+	// netArrive[n] is the data arrival at the sink pins of net n, ps.
 	netArrive []float64
 	netDelay  []float64
-	// minArrival / minNetArrive mirror the above for the earliest (hold)
-	// paths.
-	minArrival   []float64
+	// stale[n] marks netDelay[n] for recomputation by the next propagate:
+	// every net at first, then the nets whose driver or sinks were resized.
+	stale []bool
+	// minNetArrive mirrors netArrive for the earliest (hold) paths.
 	minNetArrive []float64
+	// Scratch reused by upsizeCritical across passes.
+	endpoints []int
+	seen      []bool
 }
 
 // Analyze runs one STA pass (no optimisation) and returns the timing result.
@@ -126,20 +132,28 @@ func newEngine(nl *netlist.Netlist, l *lib.Library, pl *place.Result, fix *drv.R
 	if opt.RCFactor <= 0 {
 		opt.RCFactor = 1
 	}
-	order, err := nl.TopoOrder()
-	if err != nil {
-		return nil, err
+	topo := opt.Topo
+	if topo == nil {
+		var err error
+		if topo, err = nl.Topology(); err != nil {
+			return nil, err
+		}
 	}
-	return &engine{
+	e := &engine{
 		nl: nl, lib: l, pl: pl, fix: fix, rt: rt, opt: opt,
-		order:        order,
-		arrival:      make([]float64, len(nl.Cells)),
+		order:        topo.Order,
+		buf:          l.Cell(lib.Buf),
 		argmax:       make([]int, len(nl.Cells)),
 		netArrive:    make([]float64, len(nl.Nets)),
 		netDelay:     make([]float64, len(nl.Nets)),
-		minArrival:   make([]float64, len(nl.Cells)),
+		stale:        make([]bool, len(nl.Nets)),
 		minNetArrive: make([]float64, len(nl.Nets)),
-	}, nil
+		seen:         make([]bool, len(nl.Cells)),
+	}
+	for id := range e.stale {
+		e.stale[id] = true
+	}
+	return e, nil
 }
 
 // computeNetDelay returns the driver-cell-input to sink-pin delay of the
@@ -153,17 +167,15 @@ func (e *engine) computeNetDelay(netID int) float64 {
 	var intrinsic float64
 	if net.Driver >= 0 {
 		dc := e.nl.Cells[net.Driver]
-		sc := e.lib.Scaled(dc.Kind, dc.Size)
-		driveRes = sc.DriveRes
-		intrinsic = sc.Intrinsic
+		driveRes = e.lib.DriveRes(dc.Kind, dc.Size)
+		intrinsic = e.lib.Cell(dc.Kind).Intrinsic // size-independent
 	}
 	var pinCap float64
 	for _, s := range net.Sinks {
-		c := e.lib.Scaled(e.nl.Cells[s].Kind, e.nl.Cells[s].Size)
-		pinCap += c.InCap
+		pinCap += e.lib.InCap(e.nl.Cells[s].Kind, e.nl.Cells[s].Size)
 	}
 	pinCap /= float64(f.Stages)
-	buf := e.lib.Cell(lib.Buf)
+	buf := &e.buf
 	if f.Stages > 1 {
 		pinCap += buf.InCap
 	}
@@ -179,11 +191,17 @@ func (e *engine) computeNetDelay(netID int) float64 {
 	return d
 }
 
-// propagate computes arrival times in topological order.
+// propagate computes arrival times in topological order, first refreshing
+// the delays of stale nets.
+//
+//ppalint:noalloc
 func (e *engine) propagate() {
 	nl := e.nl
-	for id := range nl.Nets {
-		e.netDelay[id] = e.computeNetDelay(id)
+	for id, stale := range e.stale {
+		if stale {
+			e.netDelay[id] = e.computeNetDelay(id)
+			e.stale[id] = false
+		}
 	}
 	// PI nets launch at t=0 for setup analysis (conservative). For hold
 	// analysis, primary inputs come from upstream registered logic, so the
@@ -193,14 +211,12 @@ func (e *engine) propagate() {
 		e.minNetArrive[pi] = e.lib.ClkToQ + e.netDelay[pi]
 	}
 	for _, ci := range e.order {
-		c := nl.Cells[ci]
+		c := &nl.Cells[ci]
 		if c.Kind == lib.DFF {
 			// Launch: Q arrives clk-to-q plus its net delay.
-			e.arrival[ci] = e.lib.ClkToQ
-			e.minArrival[ci] = e.lib.ClkToQ
 			if c.Out >= 0 {
-				e.netArrive[c.Out] = e.arrival[ci] + e.netDelay[c.Out]
-				e.minNetArrive[c.Out] = e.minArrival[ci] + e.netDelay[c.Out]
+				e.netArrive[c.Out] = e.lib.ClkToQ + e.netDelay[c.Out]
+				e.minNetArrive[c.Out] = e.lib.ClkToQ + e.netDelay[c.Out]
 			}
 			continue
 		}
@@ -219,8 +235,6 @@ func (e *engine) propagate() {
 		if arg < 0 {
 			best = 0
 		}
-		e.arrival[ci] = worst
-		e.minArrival[ci] = best
 		e.argmax[ci] = arg
 		if c.Out >= 0 {
 			e.netArrive[c.Out] = worst + e.netDelay[c.Out]
@@ -250,7 +264,7 @@ func (e *engine) minEndpointArrival() float64 {
 // primary outputs) and that endpoint's net.
 func (e *engine) criticalArrival() (float64, int) {
 	worst, arg := 0.0, -1
-	for ci, c := range e.nl.Cells {
+	for _, c := range e.nl.Cells {
 		if c.Kind != lib.DFF || len(c.Inputs) == 0 {
 			continue
 		}
@@ -258,7 +272,6 @@ func (e *engine) criticalArrival() (float64, int) {
 			worst = a
 			arg = c.Inputs[0]
 		}
-		_ = ci
 	}
 	for _, po := range e.nl.PONets {
 		if a := e.netArrive[po]; a > worst {
@@ -277,37 +290,38 @@ func (e *engine) achievedPeriod() float64 {
 // upsizeCritical backtraces the worst timing paths and upsizes the cells on
 // them. Sizing is selective — only path cells grow — so the drive-strength
 // gain is not cancelled by load growth on off-path sinks, mirroring how a
-// real optimiser's sizing converges. Returns the number of sizes changed.
+// real optimiser's sizing converges. Returns the number of sizes changed;
+// the nets a resized cell drives or loads are marked stale.
 func (e *engine) upsizeCritical() int {
 	crit, _ := e.criticalArrival()
 	if crit <= 0 {
 		return 0
 	}
-	// Collect endpoints within 3% of the worst arrival.
-	type endpoint struct{ net int }
-	var eps []endpoint
+	// Collect endpoint nets within 3% of the worst arrival.
+	eps := e.endpoints[:0]
 	threshold := 0.97 * crit
 	for _, c := range e.nl.Cells {
 		if c.Kind != lib.DFF || len(c.Inputs) == 0 {
 			continue
 		}
 		if e.netArrive[c.Inputs[0]] >= threshold {
-			eps = append(eps, endpoint{c.Inputs[0]})
+			eps = append(eps, c.Inputs[0])
 		}
 	}
 	for _, po := range e.nl.PONets {
 		if e.netArrive[po] >= threshold {
-			eps = append(eps, endpoint{po})
+			eps = append(eps, po)
 		}
 	}
+	e.endpoints = eps
 	const maxEndpoints = 32
 	if len(eps) > maxEndpoints {
 		eps = eps[:maxEndpoints]
 	}
 	changed := 0
-	seen := make(map[int]bool)
-	for _, ep := range eps {
-		net := ep.net
+	seen := e.seen
+	clear(seen)
+	for _, net := range eps {
 		for net >= 0 {
 			ci := e.nl.Nets[net].Driver
 			if ci < 0 {
@@ -324,6 +338,12 @@ func (e *engine) upsizeCritical() int {
 				}
 				c.Size = ns
 				changed++
+				if c.Out >= 0 {
+					e.stale[c.Out] = true
+				}
+				for _, in := range c.Inputs {
+					e.stale[in] = true
+				}
 			}
 			seen[ci] = true
 			net = e.argmax[ci]
@@ -348,20 +368,4 @@ func (e *engine) result(passes, upsized int) *Result {
 		Passes:           passes,
 		Upsized:          upsized,
 	}
-}
-
-// PathDepthEstimatePS is a coarse lower bound on the design's critical path
-// from logic levels alone (diagnostic aid).
-func PathDepthEstimatePS(nl *netlist.Netlist, l *lib.Library) float64 {
-	lvl, err := nl.Levels()
-	if err != nil {
-		return math.NaN()
-	}
-	maxL := 0
-	for _, v := range lvl {
-		if v > maxL {
-			maxL = v
-		}
-	}
-	return float64(maxL) * l.Cell(lib.Nand2).Intrinsic
 }

@@ -215,15 +215,47 @@ func TestOptionsValidation(t *testing.T) {
 	}
 }
 
-func TestPathDepthEstimate(t *testing.T) {
-	nl, err := netlist.MAC("m", 8)
-	if err != nil {
-		t.Fatal(err)
+// TestNetDelayBufferingLongNetHelps splits the longest net into a buffer
+// chain and checks the net-delay model Analyze propagates: splitting a
+// wire-RC-dominated net must not make it dramatically slower. The margin is
+// generous to avoid over-fitting the model, but catches sign errors.
+func TestNetDelayBufferingLongNetHelps(t *testing.T) {
+	r := buildRig(t)
+	best, bestLen := -1, 0.0
+	for id, ln := range r.pl.NetLen {
+		if ln > bestLen {
+			best, bestLen = id, ln
+		}
 	}
-	l := lib.Default7nm()
-	if d := PathDepthEstimatePS(nl, l); d <= 0 {
-		t.Errorf("depth estimate %g", d)
+	if best < 0 {
+		t.Fatal("no nonzero-length nets")
 	}
+	relaxed := drv.Limits{MaxFanout: 1000, MaxCapFF: 1e6, MaxTransPS: 1e6, MaxLenUm: 1e6}
+	split := relaxed
+	split.MaxLenUm = bestLen / 3
+	delay := func(lm drv.Limits) (float64, int) {
+		fix, err := drv.Fix(r.nl, r.lib, r.pl, lm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := baseOpts()
+		opt.RCFactor = 1
+		e, err := newEngine(r.nl, r.lib, r.pl, fix, r.rt, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.propagate()
+		return e.netDelay[best], fix.Fix[best].Stages
+	}
+	dU, _ := delay(relaxed)
+	dB, stages := delay(split)
+	if stages < 2 {
+		t.Fatalf("longest net not split: %d stages", stages)
+	}
+	if !(dU > 0) || dB > 2*dU {
+		t.Errorf("buffered delay %g ps vs unbuffered %g ps: buffering exploded", dB, dU)
+	}
+	t.Logf("net %d (%.1f µm): %.2f ps unbuffered, %.2f ps in %d stages", best, bestLen, dU, dB, stages)
 }
 
 func TestHoldAnalysis(t *testing.T) {

@@ -13,6 +13,8 @@ type eventLog struct {
 	mu      sync.Mutex
 	events  []Event
 	changed chan struct{}
+	// final is set once the job's terminal status event is in the log.
+	final bool
 }
 
 func newEventLog() *eventLog {
@@ -25,25 +27,31 @@ func (l *eventLog) append(e Event) {
 	l.mu.Lock()
 	e.Seq = len(l.events) + 1
 	l.events = append(l.events, e)
+	if e.Type == "status" && TerminalStatus(e.Status) {
+		l.final = true
+	}
 	close(l.changed)
 	l.changed = make(chan struct{})
 	l.mu.Unlock()
 }
 
-// after returns the events with Seq > since, plus the channel that will be
+// after returns the events with Seq > since, the channel that will be
 // closed on the next append — snapshot first, then wait, so no append can
-// fall between the two.
-func (l *eventLog) after(since int) ([]Event, <-chan struct{}) {
+// fall between the two — and whether the job's terminal status event is in
+// the log, i.e. at or before the last event returned. Readers end a stream
+// on that, not on the job's live status: setStatus flips the status before
+// it persists and appends the event.
+func (l *eventLog) after(since int) ([]Event, <-chan struct{}, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	ch := l.changed
 	if since >= len(l.events) {
-		return nil, ch
+		return nil, ch, l.final
 	}
 	if since < 0 {
 		since = 0
 	}
 	out := make([]Event, len(l.events)-since)
 	copy(out, l.events[since:])
-	return out, ch
+	return out, ch, l.final
 }

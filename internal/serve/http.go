@@ -152,12 +152,12 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // request context and server shutdown) until at least one is available.
 func (s *Server) longPoll(w http.ResponseWriter, r *http.Request, j *job, since int) {
 	for {
-		events, changed := j.log.after(since)
+		events, changed, final := j.log.after(since)
 		if len(events) > 0 {
 			writeJSON(w, http.StatusOK, EventPage{Events: events, Next: events[len(events)-1].Seq})
 			return
 		}
-		if s.stopping() || TerminalStatus(j.currentStatus()) {
+		if s.stopping() || final {
 			writeJSON(w, http.StatusOK, EventPage{Events: []Event{}, Next: since})
 			return
 		}
@@ -190,7 +190,7 @@ func (s *Server) serveSSE(w http.ResponseWriter, r *http.Request, j *job, since 
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
 	for {
-		events, changed := j.log.after(since)
+		events, changed, final := j.log.after(since)
 		for _, e := range events {
 			if err := writeSSE(w, e); err != nil {
 				return
@@ -200,8 +200,8 @@ func (s *Server) serveSSE(w http.ResponseWriter, r *http.Request, j *job, since 
 		if len(events) > 0 {
 			fl.Flush()
 		}
-		if TerminalStatus(j.currentStatus()) {
-			return
+		if final {
+			return // the terminal status event has been sent
 		}
 		if s.stopping() {
 			_ = writeSSE(w, Event{Type: "shutdown", Job: j.id, Message: "server shutting down; reconnect to resume from seq"})

@@ -50,12 +50,6 @@ func (j *job) isCancelled() bool {
 	return j.cancelled
 }
 
-func (j *job) currentStatus() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.status
-}
-
 func (j *job) setCancel(c context.CancelFunc) {
 	j.mu.Lock()
 	j.cancel = c

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -474,5 +475,76 @@ func TestEventsForJobFromPreviousBoot(t *testing.T) {
 	}
 	if len(page.Events) != 0 || page.Next != 1 {
 		t.Fatalf("caught-up poll page %+v, want empty at cursor 1", page)
+	}
+}
+
+// setStatus flips a job's live status before it persists the manifest and
+// appends the status event. An SSE stream that wakes inside that window —
+// here on a unit event — must keep streaming until the terminal status
+// event itself arrives, rather than close on the live status and lose it.
+func TestSSEWaitsForTerminalEvent(t *testing.T) {
+	s := newTestServer(t, nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	j := &job{id: "window", status: StatusRunning, log: newEventLog()}
+	j.log.append(Event{Type: "status", Job: j.id, Status: StatusRunning})
+	s.mu.Lock()
+	s.jobs[j.id] = j
+	s.mu.Unlock()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/jobs/window/events", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	// Room for more than the four events the stream can carry, so the
+	// reader never blocks on a send after the test has returned.
+	events := make(chan Event, 16)
+	go func() {
+		defer close(events)
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			if data, ok := strings.CutPrefix(sc.Text(), "data: "); ok {
+				var e Event
+				if json.Unmarshal([]byte(data), &e) == nil {
+					events <- e
+				}
+			}
+		}
+	}()
+	next := func(want string) Event {
+		t.Helper()
+		e, ok := <-events
+		if !ok {
+			t.Fatalf("stream ended before the %s event", want)
+		}
+		return e
+	}
+
+	if e := next("running status"); e.Status != StatusRunning {
+		t.Fatalf("first event %+v, want the running status", e)
+	}
+	// Open the window: the live status is terminal, its event not yet in
+	// the log, and a unit event wakes the stream.
+	j.mu.Lock()
+	j.status = StatusDone
+	j.mu.Unlock()
+	j.log.append(Event{Type: "unit", Job: j.id, Done: 1, Total: 1})
+	if e := next("unit"); e.Type != "unit" {
+		t.Fatalf("second event %+v, want the unit event", e)
+	}
+	// Close the window.
+	j.log.append(Event{Type: "status", Job: j.id, Status: StatusDone})
+	if e := next("terminal status"); e.Type != "status" || e.Status != StatusDone {
+		t.Fatalf("third event %+v, want the done status", e)
+	}
+	if e, ok := <-events; ok {
+		t.Fatalf("stream continued past the terminal event with %+v", e)
 	}
 }
