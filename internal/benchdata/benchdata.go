@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"sync"
 
+	"ppatuner/internal/par"
 	"ppatuner/internal/param"
 	"ppatuner/internal/pareto"
 	"ppatuner/internal/pdtool"
@@ -55,36 +56,22 @@ func Generate(name string, space *param.Space, design *pdtool.Design, opt GenOpt
 		return nil, fmt.Errorf("benchdata: %s: space too coarse for %d distinct points (got %d)", name, opt.Points, len(cfgs))
 	}
 	pts := make([]Point, len(cfgs))
+	errs := make([]error, len(cfgs))
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	chunk := (len(cfgs) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(cfgs) {
-			hi = len(cfgs)
+	// Flow runs differ in cost with their configuration, so workers claim
+	// configurations one at a time rather than a fixed share each. Each
+	// worker keeps one Runner, whose buffers then serve all its runs.
+	runners := make([]*pdtool.Runner, workers)
+	par.Each(workers, len(cfgs), func(w, i int) {
+		if runners[w] == nil {
+			runners[w] = pdtool.NewRunner(design)
 		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				q, _, err := pdtool.Run(design, cfgs[i])
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				pts[i] = Point{Config: cfgs[i], QoR: q}
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
+		q, _, err := runners[w].Run(cfgs[i])
+		pts[i], errs[i] = Point{Config: cfgs[i], QoR: q}, err
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("benchdata: %s: %w", name, err)

@@ -36,10 +36,10 @@ type UnitResult struct {
 
 // Campaign is a resumable, parallel table-regeneration run: it enumerates
 // every (space × method × seed) cell of a comparison table as an
-// independent unit, executes the units via internal/par's deterministic
-// fork-join, and — when a Checkpoint is attached — persists each completed
-// unit plus the mid-run state (observations, RNG-source state, iteration
-// count) of units in flight. Results are assembled from a per-unit slice
+// independent unit, executes the units on internal/par's worker pool,
+// and — when a Checkpoint is attached — persists each completed unit plus
+// the mid-run state (observations, RNG-source state, iteration count) of
+// units in flight. Results are assembled from a per-unit slice
 // in enumeration order, so any Workers value produces a bit-identical
 // Table; a resumed campaign skips completed units entirely and replays
 // partial ones from their recorded state.
@@ -179,10 +179,13 @@ func (c *Campaign) Run() (*Table, error) {
 	}
 	for len(pending) > 0 {
 		idx := pending
-		par.Do(c.Workers, len(idx), func(lo, hi int) {
-			for x := lo; x < hi; x++ {
-				results[idx[x]], errs[idx[x]] = c.runUnit(units[idx[x]])
-			}
+		start := idx
+		if c.Workers > 1 {
+			start = costliestFirst(units, idx)
+		}
+		par.Each(c.Workers, len(start), func(_, k int) {
+			x := start[k]
+			results[x], errs[x] = c.runUnit(units[x])
 		})
 		// Partition this round's outcomes in enumeration order: breaker
 		// refusals park the unit; anything else aborts the campaign.
@@ -223,6 +226,27 @@ func (c *Campaign) Run() (*Table, error) {
 		pending = parked
 	}
 	return c.Assemble(results), nil
+}
+
+// costliestFirst returns the unit indices idx with the PPATuner units
+// moved to the front, each group kept in enumeration order. A PPATuner unit
+// refits its transfer GP on every iteration and costs several times a
+// baseline unit; started first, the long units overlap each other and the
+// short ones fill in behind them, so no worker finishes a campaign alone on
+// one long unit. Serial campaigns keep enumeration order.
+func costliestFirst(units []Unit, idx []int) []int {
+	out := make([]int, 0, len(idx))
+	for _, x := range idx {
+		if units[x].Method == PPATuner {
+			out = append(out, x)
+		}
+	}
+	for _, x := range idx {
+		if units[x].Method != PPATuner {
+			out = append(out, x)
+		}
+	}
+	return out
 }
 
 // Assemble reduces per-unit results — indexed in Units() enumeration order —

@@ -101,6 +101,17 @@ func (w *fitWS) fillGram(g *GP) {
 			// transform without a second sweep over the Gram buffer. The
 			// paper's 8-dimensional tuning space hits the asm fast path.
 			simd.Matern52ARD(gm[:np], sq, inv2, vr)
+		case RBF:
+			// EvalR2's RBF arm written in line: the same products, without
+			// a call and a kernel switch per entry.
+			for p := 0; p < np; p++ {
+				row := sq[p*d : p*d+d : p*d+d]
+				var r2 float64
+				for k := 0; k < d; k++ {
+					r2 += row[k] * inv2[k]
+				}
+				gm[p] = vr * math.Exp(-0.5*r2)
+			}
 		default:
 			for p := 0; p < np; p++ {
 				row := sq[p*d : p*d+d : p*d+d]

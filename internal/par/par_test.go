@@ -78,3 +78,56 @@ func TestDoRangesAreOrderedAndContiguous(t *testing.T) {
 		}
 	}
 }
+
+func TestEachCoversExactlyOnce(t *testing.T) {
+	for _, workers := range []int{-1, 0, 1, 2, 3, 8, 100} {
+		for _, n := range []int{0, 1, 2, 5, 97} {
+			hits := make([]int32, n)
+			Each(workers, n, func(w, i int) {
+				if w < 0 || w >= max(workers, 1) {
+					t.Errorf("workers=%d n=%d: worker index %d", workers, n, w)
+				}
+				atomic.AddInt32(&hits[i], 1)
+			})
+			for i, h := range hits {
+				if h != 1 {
+					t.Fatalf("workers=%d n=%d: index %d visited %d times", workers, n, i, h)
+				}
+			}
+		}
+	}
+}
+
+func TestEachSerialInOrder(t *testing.T) {
+	var got []int
+	Each(1, 6, func(_, i int) { got = append(got, i) })
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("serial order %v, want 0..5", got)
+		}
+	}
+	if len(got) != 6 {
+		t.Fatalf("visited %d indices, want 6", len(got))
+	}
+}
+
+// TestEachBalancesUnevenItems pins the dynamic claiming: with one long item
+// first and many short ones after it, the second worker takes every short
+// item while the first is still busy, instead of a fixed half of them.
+func TestEachBalancesUnevenItems(t *testing.T) {
+	const n = 9
+	release := make(chan struct{})
+	var shortDone atomic.Int32
+	Each(2, n, func(_, i int) {
+		if i == 0 {
+			<-release
+			return
+		}
+		if shortDone.Add(1) == n-1 {
+			close(release)
+		}
+	})
+	if got := shortDone.Load(); got != n-1 {
+		t.Fatalf("%d short items ran, want %d", got, n-1)
+	}
+}

@@ -11,6 +11,7 @@ package drv
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"ppatuner/internal/pdtool/lib"
 	"ppatuner/internal/pdtool/netlist"
@@ -63,11 +64,23 @@ type Result struct {
 
 // Fix computes the buffering plan for every net.
 func Fix(nl *netlist.Netlist, l *lib.Library, pl *place.Result, lm Limits) (*Result, error) {
+	return new(Fixer).Fix(nl, l, pl, lm)
+}
+
+// A Fixer computes buffering plans one after another in the same memory:
+// the Result of one Fix stays valid only until the next.
+type Fixer struct{ res Result }
+
+// Fix computes the buffering plan for every net, as the package-level Fix
+// does, in f's memory.
+func (f *Fixer) Fix(nl *netlist.Netlist, l *lib.Library, pl *place.Result, lm Limits) (*Result, error) {
 	if err := lm.Validate(); err != nil {
 		return nil, err
 	}
 	buf := l.Cell(lib.Buf)
-	res := &Result{Fix: make([]NetFix, len(nl.Nets))}
+	res := &f.res
+	// Every net's plan is written below.
+	*res = Result{Fix: slices.Grow(res.Fix[:0], len(nl.Nets))[:len(nl.Nets)]}
 	for id, net := range nl.Nets {
 		length := pl.NetLen[id]
 		load := sinkCapFF(l, nl, net.Sinks) + l.WireCapPerUm*length

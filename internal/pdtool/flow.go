@@ -153,6 +153,46 @@ type Report struct {
 // function of (design, cfg): deterministic and side-effect free (the design
 // netlist is copied before sizing).
 func Run(d *Design, cfg param.Config) (QoR, *Report, error) {
+	return NewRunner(d).Run(cfg)
+}
+
+// A Runner runs the flow on one design again and again. It keeps the
+// design's topology and every stage's working memory from one run to the
+// next, so that after its first run a run allocates next to nothing. The
+// Report of a run shares that memory and stays valid only until the next
+// run. A Runner is not safe for concurrent use: give each goroutine its
+// own.
+type Runner struct {
+	d *Design
+	// nl is the per-run copy of the design netlist that sizing mutates;
+	// its cells are refreshed from d at the start of every run.
+	nl netlist.Netlist
+	// Sizing never changes the netlist's structure, so one topology
+	// serves every run and every stage.
+	topo      netlist.Topology
+	topoErr   error
+	registers int
+	placer    place.Placer
+	fixer     drv.Fixer
+	router    route.Router
+	timer     sta.Timer
+	power     power.Analyzer
+	report    Report
+}
+
+// NewRunner returns a Runner for d.
+func NewRunner(d *Design) *Runner {
+	r := &Runner{d: d, nl: *d.NL}
+	r.nl.Cells = nil // never share d's cells: runs resize them
+	r.topoErr = r.topo.Compute(d.NL)
+	r.registers = len(d.NL.Registers())
+	return r
+}
+
+// Run executes the full flow for one parameter configuration, as the
+// package-level Run does.
+func (r *Runner) Run(cfg param.Config) (QoR, *Report, error) {
+	d := r.d
 	// ---- Decode tool parameters (Table 1), with tool defaults for knobs a
 	// benchmark does not tune ("-" entries).
 	freq := cfg.FloatOr("freq", 1000)                   // MHz
@@ -182,19 +222,16 @@ func Run(d *Design, cfg param.Config) (QoR, *Report, error) {
 		return QoR{}, nil, err
 	}
 
-	// ---- Copy the netlist so the sizing passes do not leak across runs.
-	nlCopy := *d.NL
-	nlCopy.Cells = append([]netlist.Cell(nil), d.NL.Cells...)
-	nl := &nlCopy
-	// Sizing never changes the netlist's structure: one topology serves
-	// placement, timing and power.
-	topo, err := nl.Topology()
-	if err != nil {
-		return QoR{}, nil, fmt.Errorf("pdtool: topology: %w", err)
+	// ---- Copy the cells so the sizing passes do not leak across runs.
+	r.nl.Cells = append(r.nl.Cells[:0], d.NL.Cells...)
+	nl := &r.nl
+	if r.topoErr != nil {
+		return QoR{}, nil, fmt.Errorf("pdtool: topology: %w", r.topoErr)
 	}
+	topo := &r.topo
 
 	// ---- Placement.
-	pl, err := place.Place(nl, d.Lib, place.Options{
+	pl, err := r.placer.Place(nl, d.Lib, place.Options{
 		TargetUtil:     targetUtil,
 		MaxBinDensity:  maxBinDensity,
 		UniformDensity: uniform,
@@ -207,7 +244,7 @@ func Run(d *Design, cfg param.Config) (QoR, *Report, error) {
 	}
 
 	// ---- DRV fixing.
-	fix, err := drv.Fix(nl, d.Lib, pl, drv.Limits{
+	fix, err := r.fixer.Fix(nl, d.Lib, pl, drv.Limits{
 		MaxFanout:  maxFanout,
 		MaxCapFF:   maxCapPF * 1000,
 		MaxTransPS: maxTransNS * 1000,
@@ -218,19 +255,19 @@ func Run(d *Design, cfg param.Config) (QoR, *Report, error) {
 	}
 
 	// ---- Clock-tree synthesis.
-	ct, err := cts.Synthesize(d.Lib, len(nl.Registers()), pl.CoreW, pl.CoreH, cts.Options{PowerDriven: clockPower})
+	ct, err := cts.Synthesize(d.Lib, r.registers, pl.CoreW, pl.CoreH, cts.Options{PowerDriven: clockPower})
 	if err != nil {
 		return QoR{}, nil, fmt.Errorf("pdtool: cts: %w", err)
 	}
 
 	// ---- Global routing.
-	rt, err := route.Route(nl, pl, route.Options{Effort: congEffort})
+	rt, err := r.router.Route(nl, pl, route.Options{Effort: congEffort})
 	if err != nil {
 		return QoR{}, nil, fmt.Errorf("pdtool: route: %w", err)
 	}
 
 	// ---- Timing optimisation.
-	timing, err := sta.Optimize(nl, d.Lib, pl, fix, rt, sta.Options{
+	timing, err := r.timer.Optimize(nl, d.Lib, pl, fix, rt, sta.Options{
 		TargetPeriodPS:    1e6 / freq,
 		UncertaintyPS:     uncertainty,
 		RCFactor:          rcFactor,
@@ -245,7 +282,7 @@ func Run(d *Design, cfg param.Config) (QoR, *Report, error) {
 	}
 
 	// ---- Power at the target frequency.
-	pw, err := power.Analyze(nl, d.Lib, fix, rt, ct, power.Options{FreqMHz: freq, Topo: topo})
+	pw, err := r.power.Analyze(nl, d.Lib, fix, rt, ct, power.Options{FreqMHz: freq, Topo: topo})
 	if err != nil {
 		return QoR{}, nil, fmt.Errorf("pdtool: power: %w", err)
 	}
@@ -287,8 +324,8 @@ func Run(d *Design, cfg param.Config) (QoR, *Report, error) {
 	q.DelayNS *= 1 + hd
 	q.AreaUm2 *= 1 + ha
 
-	rep := &Report{Place: pl, DRV: fix, CTS: ct, Route: rt, Timing: timing, FreqMHz: freq, CellArea: cellArea}
-	return q, rep, nil
+	r.report = Report{Place: pl, DRV: fix, CTS: ct, Route: rt, Timing: timing, FreqMHz: freq, CellArea: cellArea}
+	return q, &r.report, nil
 }
 
 // jitterPct is the amplitude of the modelled per-run tool variation

@@ -57,40 +57,65 @@ func digestRun(h hash.Hash, q QoR, rep *Report) {
 	f(rep.CellArea)
 }
 
-func TestGoldenFlowDigest(t *testing.T) {
+// goldenCase is one space of the golden digest.
+type goldenCase struct {
+	name   string
+	space  *param.Space
+	design *Design
+	seed   int64
+}
+
+func goldenCases(t *testing.T) []goldenCase {
+	t.Helper()
 	if runtime.GOARCH != "amd64" {
 		// The Go compiler may fuse x*y+z into one FMA instruction on other
 		// architectures, which moves low bits; the digests were recorded
 		// on amd64, where it never does.
 		t.Skipf("golden digests are recorded on amd64, not %s", runtime.GOARCH)
 	}
-	cases := []struct {
-		name   string
-		space  *param.Space
-		design *Design
-		seed   int64
-	}{
+	return []goldenCase{
 		{"source1", param.Source1Space(), SmallMAC(), 101},
 		{"target1", param.Target1Space(), SmallMAC(), 102},
 		{"source2", param.Source2Space(), SmallMAC(), 103},
 		{"target2", param.Target2Space(), LargeMAC(), 104},
 	}
-	for _, tc := range cases {
+}
+
+// checkGolden digests run over the case's configurations and compares the
+// result with the golden digest.
+func checkGolden(t *testing.T, tc goldenCase, run func(param.Config) (QoR, *Report, error)) {
+	t.Helper()
+	cfgs := sample.LHSConfigs(rand.New(rand.NewSource(tc.seed)), tc.space, digestConfigs)
+	h := sha256.New()
+	for _, cfg := range cfgs {
+		q, rep, err := run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", cfg, err)
+		}
+		digestRun(h, q, rep)
+	}
+	got := hex.EncodeToString(h.Sum(nil))
+	t.Logf("%s over %d configs: %s", tc.name, len(cfgs), got)
+	if want := goldenFlowDigests[tc.name]; got != want {
+		t.Errorf("flow digest %s = %s, want %s", tc.name, got, want)
+	}
+}
+
+func TestGoldenFlowDigest(t *testing.T) {
+	for _, tc := range goldenCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			cfgs := sample.LHSConfigs(rand.New(rand.NewSource(tc.seed)), tc.space, digestConfigs)
-			h := sha256.New()
-			for _, cfg := range cfgs {
-				q, rep, err := Run(tc.design, cfg)
-				if err != nil {
-					t.Fatalf("%s: %v", cfg, err)
-				}
-				digestRun(h, q, rep)
-			}
-			got := hex.EncodeToString(h.Sum(nil))
-			t.Logf("%s over %d configs: %s", tc.name, len(cfgs), got)
-			if want := goldenFlowDigests[tc.name]; got != want {
-				t.Errorf("flow digest %s = %s, want %s", tc.name, got, want)
-			}
+			checkGolden(t, tc, func(cfg param.Config) (QoR, *Report, error) { return Run(tc.design, cfg) })
+		})
+	}
+}
+
+// TestRunnerGoldenFlowDigest runs every configuration of a space through
+// one Runner: reusing the stages' memory from run to run must leave every
+// digested bit as a fresh Run leaves it.
+func TestRunnerGoldenFlowDigest(t *testing.T) {
+	for _, tc := range goldenCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			checkGolden(t, tc, NewRunner(tc.design).Run)
 		})
 	}
 }

@@ -215,3 +215,21 @@ func TestRunAllocationBound(t *testing.T) {
 		t.Errorf("one large-MAC flow run allocates %.0f times, want <= 1000", allocs)
 	}
 }
+
+// TestRunnerReusesMemory bounds what a warm Runner allocates per run: the
+// stages' buffers are all reused, leaving only small per-run values.
+func TestRunnerReusesMemory(t *testing.T) {
+	r := NewRunner(LargeMAC())
+	cfg := midConfig(param.Target2Space())
+	var err error
+	allocs := testing.AllocsPerRun(3, func() {
+		_, _, err = r.Run(cfg)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%.0f allocations per warm run", allocs)
+	if allocs > 20 {
+		t.Errorf("a warm Runner allocates %.0f times per large-MAC run, want <= 20", allocs)
+	}
+}

@@ -156,6 +156,18 @@ func (l *Library) InCap(k Kind, size float64) float64 { return l.cell(k).InCap *
 // DriveRes returns Scaled(k, size).DriveRes without copying the cell.
 func (l *Library) DriveRes(k Kind, size float64) float64 { return l.cell(k).DriveRes / max(size, 1) }
 
+// Area returns Scaled(k, size).Area without copying the cell.
+func (l *Library) Area(k Kind, size float64) float64 { return l.cell(k).Area * max(size, 1) }
+
+// Leakage returns Scaled(k, size).Leakage without copying the cell.
+func (l *Library) Leakage(k Kind, size float64) float64 { return l.cell(k).Leakage * max(size, 1) }
+
+// InternalEnergy returns Scaled(k, size).InternalEnergy without copying
+// the cell.
+func (l *Library) InternalEnergy(k Kind, size float64) float64 {
+	return l.cell(k).InternalEnergy * max(size, 1)
+}
+
 // WireDelayPS returns the Elmore delay in ps of a wire of length µm driving
 // load fF with driver resistance kΩ: R_drv·(C_wire + C_load) + R_wire·
 // (C_wire/2 + C_load). Units: kΩ·fF = ps.

@@ -62,6 +62,25 @@ func TestScaled(t *testing.T) {
 	}
 }
 
+// TestAccessorsMatchScaled pins the per-field accessors to the fields of
+// Scaled bit for bit: the flow sums them over every cell and pin, and its
+// golden digest depends on the exact products.
+func TestAccessorsMatchScaled(t *testing.T) {
+	l := Default7nm()
+	for k := Kind(0); k < numKinds; k++ {
+		for _, size := range []float64{0, 0.5, 1, 1.37, 2, 3.9, 8} {
+			sc := l.Scaled(k, size)
+			got := [...]float64{l.Area(k, size), l.InCap(k, size), l.DriveRes(k, size), l.Leakage(k, size), l.InternalEnergy(k, size)}
+			want := [...]float64{sc.Area, sc.InCap, sc.DriveRes, sc.Leakage, sc.InternalEnergy}
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Errorf("kind %d size %g field %d: accessor %v, Scaled %v", k, size, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestWireDelayMonotone(t *testing.T) {
 	l := Default7nm()
 	d1 := l.WireDelayPS(1.5, 10, 2)

@@ -162,49 +162,70 @@ func (nl *Netlist) Validate() error {
 // combinational cycles. Registers have level 0; their D fan-in terminates
 // paths.
 func (nl *Netlist) Levels() ([]int, error) {
-	lvl := make([]int, len(nl.Cells))
-	state := make([]int8, len(nl.Cells)) // 0 unvisited, 1 in progress, 2 done
-	var visit func(int) error
-	visit = func(ci int) error {
-		switch state[ci] {
-		case 1:
-			return fmt.Errorf("netlist %s: combinational cycle through cell %d", nl.Name, ci)
-		case 2:
-			return nil
+	var t Topology
+	if err := t.levels(nl); err != nil {
+		return nil, err
+	}
+	return t.Levels, nil
+}
+
+// levels fills t.Levels (see Levels), reusing t's memory.
+func (t *Topology) levels(nl *Netlist) error {
+	n := len(nl.Cells)
+	lvl := slices.Grow(t.Levels[:0], n)[:n]
+	clear(lvl)
+	state := slices.Grow(t.state[:0], n)[:n] // 0 unvisited, 1 in progress, 2 done
+	clear(state)
+	t.Levels, t.state = lvl, state
+	// Depth-first search with an explicit stack: each frame is a cell in
+	// progress and the index of the next input it examines. lvl of a cell
+	// in progress holds the running maximum over the inputs seen so far.
+	stack := t.stack[:0]
+	defer func() { t.stack = stack[:0] }()
+	for root := range nl.Cells {
+		if state[root] != 0 {
+			continue
 		}
-		if isSequential(nl.Cells[ci].Kind) {
-			state[ci] = 2
-			lvl[ci] = 0
-			return nil
+		if isSequential(nl.Cells[root].Kind) {
+			state[root] = 2
+			continue
 		}
-		state[ci] = 1
-		max := 0
-		for _, in := range nl.Cells[ci].Inputs {
-			d := nl.Nets[in].Driver
+		state[root] = 1
+		stack = append(stack[:0], frame{root, 0})
+		for len(stack) > 0 {
+			f := &stack[len(stack)-1]
+			ins := nl.Cells[f.ci].Inputs
+			if f.in == len(ins) {
+				state[f.ci] = 2
+				stack = stack[:len(stack)-1]
+				continue
+			}
 			cand := 1 // launched at a PI or a register output
-			if d != -1 {
-				if err := visit(d); err != nil {
-					return err
-				}
-				if !isSequential(nl.Cells[d].Kind) {
+			if d := nl.Nets[ins[f.in]].Driver; d != -1 {
+				switch {
+				case state[d] == 1:
+					return fmt.Errorf("netlist %s: combinational cycle through cell %d", nl.Name, d)
+				case isSequential(nl.Cells[d].Kind):
+					state[d] = 2
+				case state[d] == 0:
+					// Descend; this input is examined again once d is done.
+					state[d] = 1
+					stack = append(stack, frame{d, 0})
+					continue
+				default:
 					cand = lvl[d] + 1
 				}
 			}
-			if cand > max {
-				max = cand
-			}
-		}
-		lvl[ci] = max
-		state[ci] = 2
-		return nil
-	}
-	for ci := range nl.Cells {
-		if err := visit(ci); err != nil {
-			return nil, err
+			lvl[f.ci] = max(lvl[f.ci], cand)
+			f.in++
 		}
 	}
-	return lvl, nil
+	return nil
 }
+
+// frame is a cell in progress in the levelising depth-first search, with
+// the index of the next input it examines.
+type frame struct{ ci, in int }
 
 func isSequential(k lib.Kind) bool { return k == lib.DFF }
 
@@ -215,32 +236,47 @@ func isSequential(k lib.Kind) bool { return k == lib.DFF }
 type Topology struct {
 	Levels []int
 	Order  []int
+	// Scratch kept for the next Compute.
+	state []int8
+	stack []frame
+	start []int
 }
 
 // Topology computes the netlist's levels and topological order.
 func (nl *Netlist) Topology() (*Topology, error) {
-	lvl, err := nl.Levels()
-	if err != nil {
+	t := new(Topology)
+	if err := t.Compute(nl); err != nil {
 		return nil, err
 	}
+	return t, nil
+}
+
+// Compute sets t to nl's levels and topological order, reusing t's memory.
+func (t *Topology) Compute(nl *Netlist) error {
+	if err := t.levels(nl); err != nil {
+		return err
+	}
 	// Counting sort by level: deterministic, O(n), stable in cell ID.
+	lvl := t.Levels
 	maxL := 0
 	for _, l := range lvl {
 		maxL = max(maxL, l)
 	}
-	start := make([]int, maxL+2)
+	start := slices.Grow(t.start[:0], maxL+2)[:maxL+2]
+	clear(start)
 	for _, l := range lvl {
 		start[l+1]++
 	}
 	for l := 1; l < len(start); l++ {
 		start[l] += start[l-1]
 	}
-	order := make([]int, len(lvl))
+	order := slices.Grow(t.Order[:0], len(lvl))[:len(lvl)]
 	for ci, l := range lvl {
 		order[start[l]] = ci
 		start[l]++
 	}
-	return &Topology{Levels: lvl, Order: order}, nil
+	t.Order, t.start = order, start
+	return nil
 }
 
 // Registers returns the cell IDs of all sequential cells.
@@ -292,8 +328,8 @@ func (nl *Netlist) Stats() Stats {
 // TotalArea returns the summed cell area (µm²) at current sizes.
 func (nl *Netlist) TotalArea(l *lib.Library) float64 {
 	var a float64
-	for _, c := range nl.Cells {
-		a += l.Scaled(c.Kind, c.Size).Area
+	for i := range nl.Cells {
+		a += l.Area(nl.Cells[i].Kind, nl.Cells[i].Size)
 	}
 	return a
 }

@@ -12,6 +12,7 @@ package place
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"ppatuner/internal/pdtool/lib"
 	"ppatuner/internal/pdtool/netlist"
@@ -66,9 +67,30 @@ func (r *Result) Bin(x, y float64) int {
 	return by*r.BinsX + bx
 }
 
+// binCap is the area of one bin, µm².
+func (r *Result) binCap() float64 {
+	return (r.CoreW / float64(r.BinsX)) * (r.CoreH / float64(r.BinsY))
+}
+
 // Place runs global placement. It is deterministic: identical inputs yield
 // identical results.
 func Place(nl *netlist.Netlist, l *lib.Library, opt Options) (*Result, error) {
+	return new(Placer).Place(nl, l, opt)
+}
+
+// A Placer runs placements one after another in the same memory: the
+// Result of one Place stays valid only until the next. A flow that places
+// many configurations keeps one Placer instead of allocating every buffer
+// for every run.
+type Placer struct {
+	ws   workspace
+	netW []float64
+	res  Result
+}
+
+// Place runs global placement, as the package-level Place does, in p's
+// memory.
+func (p *Placer) Place(nl *netlist.Netlist, l *lib.Library, opt Options) (*Result, error) {
 	n := len(nl.Cells)
 	if n == 0 {
 		return nil, fmt.Errorf("place: empty netlist %s", nl.Name)
@@ -85,20 +107,32 @@ func Place(nl *netlist.Netlist, l *lib.Library, opt Options) (*Result, error) {
 
 	// Bin grid for legalisation.
 	bins := int(math.Sqrt(float64(n)/12)) + 4
-	ws := newWorkspace(n, bins*bins)
-	for ci, c := range nl.Cells {
-		ws.cellArea[ci] = l.Scaled(c.Kind, c.Size).Area
+	ws := &p.ws
+	ws.reset(n, bins*bins)
+	for ci := range nl.Cells {
+		ws.cellArea[ci] = l.Area(nl.Cells[ci].Kind, nl.Cells[ci].Size)
 		ws.totalArea += ws.cellArea[ci]
 	}
 	coreArea := ws.totalArea / opt.TargetUtil
 	side := math.Sqrt(coreArea)
-	res := &Result{
-		X:     make([]float64, n),
-		Y:     make([]float64, n),
-		CoreW: side,
-		CoreH: side,
-		BinsX: bins,
-		BinsY: bins,
+	res := &p.res
+	*res = Result{
+		X:       slices.Grow(res.X[:0], n)[:n],
+		Y:       slices.Grow(res.Y[:0], n)[:n],
+		CoreW:   side,
+		CoreH:   side,
+		BinsX:   bins,
+		BinsY:   bins,
+		BinUtil: res.BinUtil,
+		NetLen:  res.NetLen,
+	}
+	binCap := res.binCap()
+	for ci, a := range ws.cellArea {
+		ws.frac[ci] = a / binCap
+	}
+	binW, binH := res.CoreW/float64(bins), res.CoreH/float64(bins)
+	for b := range ws.center {
+		ws.center[b] = point{(float64(b%bins) + 0.5) * binW, (float64(b/bins) + 0.5) * binH}
 	}
 
 	topo := opt.Topo
@@ -121,8 +155,7 @@ func Place(nl *netlist.Netlist, l *lib.Library, opt Options) (*Result, error) {
 		if r%2 == 1 {
 			c = cols - 1 - c
 		}
-		res.X[ci] = (float64(c) + 0.5) * pitchX
-		res.Y[ci] = (float64(r) + 0.5) * pitchY
+		ws.pos[ci] = point{(float64(c) + 0.5) * pitchX, (float64(r) + 0.5) * pitchY}
 	}
 
 	// Net weights: deeper logic gets stronger attraction under timing-driven
@@ -134,7 +167,8 @@ func Place(nl *netlist.Netlist, l *lib.Library, opt Options) (*Result, error) {
 			maxLvl = lv
 		}
 	}
-	netW := make([]float64, len(nl.Nets))
+	netW := slices.Grow(p.netW[:0], len(nl.Nets))[:len(nl.Nets)]
+	p.netW = netW
 	for id, net := range nl.Nets {
 		w := 1.0
 		if net.Driver >= 0 && opt.TimingWeight > 0 {
@@ -153,8 +187,11 @@ func Place(nl *netlist.Netlist, l *lib.Library, opt Options) (*Result, error) {
 		spread(res, ws, opt, iter == opt.Iterations-1)
 	}
 
-	res.BinUtil, res.Overflow = binStats(res, ws.cellArea, opt)
-	res.NetLen, res.HPWL = netLengths(nl, res)
+	for ci, q := range ws.pos {
+		res.X[ci], res.Y[ci] = q.x, q.y
+	}
+	res.Overflow = binStats(res, ws, opt)
+	res.HPWL = netLengths(nl, res)
 	return res, nil
 }
 
@@ -162,9 +199,12 @@ func Place(nl *netlist.Netlist, l *lib.Library, opt Options) (*Result, error) {
 // rounds allocate nothing.
 type workspace struct {
 	cellArea  []float64 // per cell, µm²
+	frac      []float64 // per cell: cellArea over one bin's area
 	totalArea float64   // sum of cellArea, µm²
+	pos       []point   // per cell: position, µm (copied to X, Y at the end)
 	pull      []pull    // per cell: weighted pull sums (forceStep)
 	util      []float64 // per bin: utilisation (spread)
+	center    []point   // per bin: its centre, where spread puts moved cells
 	// Each bin's members form a LIFO stack threaded through next: top[b]
 	// is the most recently added cell of bin b (-1 when empty), next[ci]
 	// the cell below ci, count[b] the stack depth.
@@ -172,15 +212,20 @@ type workspace struct {
 	next       []int
 }
 
-func newWorkspace(cells, bins int) *workspace {
-	return &workspace{
-		cellArea: make([]float64, cells),
-		pull:     make([]pull, cells),
-		util:     make([]float64, bins),
-		top:      make([]int, bins),
-		count:    make([]int, bins),
-		next:     make([]int, cells),
-	}
+// reset sizes the workspace for a netlist of the given cells and bins.
+// Place overwrites every per-cell buffer and spread clears the per-bin
+// ones, so old contents never leak into a run.
+func (ws *workspace) reset(cells, bins int) {
+	ws.cellArea = slices.Grow(ws.cellArea[:0], cells)[:cells]
+	ws.frac = slices.Grow(ws.frac[:0], cells)[:cells]
+	ws.totalArea = 0
+	ws.pos = slices.Grow(ws.pos[:0], cells)[:cells]
+	ws.pull = slices.Grow(ws.pull[:0], cells)[:cells]
+	ws.util = slices.Grow(ws.util[:0], bins)[:bins]
+	ws.center = slices.Grow(ws.center[:0], bins)[:bins]
+	ws.top = slices.Grow(ws.top[:0], bins)[:bins]
+	ws.count = slices.Grow(ws.count[:0], bins)[:bins]
+	ws.next = slices.Grow(ws.next[:0], cells)[:cells]
 }
 
 // push adds cell ci on top of bin b's stack.
@@ -198,6 +243,9 @@ func (ws *workspace) pop(b int) int {
 	return ci
 }
 
+// point is a cell position; forceStep reads x and y together.
+type point struct{ x, y float64 }
+
 // pull accumulates the weighted positions of a cell's neighbours and their
 // total weight, side by side in memory.
 type pull struct{ x, y, w float64 }
@@ -210,7 +258,7 @@ var neighbours = [8][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}, {1, 1}, {-1, -1}, {
 //
 //ppalint:noalloc
 func forceStep(nl *netlist.Netlist, res *Result, ws *workspace, netW []float64, step float64) {
-	ps := ws.pull
+	ps, pos := ws.pull, ws.pos
 	clear(ps)
 	for id, net := range nl.Nets {
 		a := net.Driver
@@ -221,14 +269,14 @@ func forceStep(nl *netlist.Netlist, res *Result, ws *workspace, netW []float64, 
 		// is skipped, so nothing else updates them in this loop and the
 		// additions keep their order.
 		w := netW[id]
-		xa, ya := res.X[a], res.Y[a]
+		xa, ya := pos[a].x, pos[a].y
 		pa := ps[a]
 		for _, b := range net.Sinks {
 			if b == a {
 				continue
 			}
-			pa.x += w * res.X[b]
-			pa.y += w * res.Y[b]
+			pa.x += w * pos[b].x
+			pa.y += w * pos[b].y
 			pa.w += w
 			pb := &ps[b]
 			pb.x += w * xa
@@ -243,10 +291,11 @@ func forceStep(nl *netlist.Netlist, res *Result, ws *workspace, netW []float64, 
 		}
 		cx := p.x / p.w
 		cy := p.y / p.w
-		res.X[ci] += step * (cx - res.X[ci])
-		res.Y[ci] += step * (cy - res.Y[ci])
-		res.X[ci] = clamp(res.X[ci], 0, res.CoreW)
-		res.Y[ci] = clamp(res.Y[ci], 0, res.CoreH)
+		q := &pos[ci]
+		q.x += step * (cx - q.x)
+		q.y += step * (cy - q.y)
+		q.x = clamp(q.x, 0, res.CoreW)
+		q.y = clamp(q.y, 0, res.CoreH)
 	}
 }
 
@@ -257,11 +306,8 @@ func forceStep(nl *netlist.Netlist, res *Result, ws *workspace, netW []float64, 
 //
 //ppalint:noalloc
 func spread(res *Result, ws *workspace, opt Options, final bool) {
-	cellArea := ws.cellArea
+	frac := ws.frac
 	bx, by := res.BinsX, res.BinsY
-	binW := res.CoreW / float64(bx)
-	binH := res.CoreH / float64(by)
-	binCap := binW * binH
 
 	cap := opt.MaxBinDensity
 	avg := ws.totalArea / (res.CoreW * res.CoreH)
@@ -276,9 +322,9 @@ func spread(res *Result, ws *workspace, opt Options, final bool) {
 	for b := range ws.top {
 		ws.top[b] = -1
 	}
-	for ci := range cellArea {
-		b := res.Bin(res.X[ci], res.Y[ci])
-		util[b] += cellArea[ci] / binCap
+	for ci, f := range frac {
+		b := res.Bin(ws.pos[ci].x, ws.pos[ci].y)
+		util[b] += f
 		ws.push(b, ci)
 	}
 	passes := 1
@@ -315,13 +361,10 @@ func spread(res *Result, ws *workspace, opt Options, final bool) {
 				if nb == b {
 					break
 				}
-				nx, ny := nb%bx, nb/bx
-				frac := cellArea[ci] / binCap
-				util[b] -= frac
-				util[nb] += frac
+				util[b] -= frac[ci]
+				util[nb] += frac[ci]
 				ws.push(nb, ci)
-				res.X[ci] = (float64(nx) + 0.5) * binW
-				res.Y[ci] = (float64(ny) + 0.5) * binH
+				ws.pos[ci] = ws.center[nb]
 				moved = true
 			}
 		}
@@ -331,14 +374,17 @@ func spread(res *Result, ws *workspace, opt Options, final bool) {
 	}
 }
 
-// binStats recomputes final utilisation and the overflow fraction.
-func binStats(res *Result, cellArea []float64, opt Options) ([]float64, float64) {
-	bx, by := res.BinsX, res.BinsY
-	binCap := (res.CoreW / float64(bx)) * (res.CoreH / float64(by))
-	util := make([]float64, bx*by)
+// binStats recomputes the final utilisation into res.BinUtil and returns
+// the overflow fraction.
+func binStats(res *Result, ws *workspace, opt Options) float64 {
+	binCap := res.binCap()
+	nb := res.BinsX * res.BinsY
+	util := slices.Grow(res.BinUtil[:0], nb)[:nb]
+	clear(util)
+	res.BinUtil = util
 	var total float64
-	for ci, a := range cellArea {
-		util[res.Bin(res.X[ci], res.Y[ci])] += a / binCap
+	for ci, a := range ws.cellArea {
+		util[res.Bin(res.X[ci], res.Y[ci])] += ws.frac[ci]
 		total += a
 	}
 	var over float64
@@ -347,12 +393,15 @@ func binStats(res *Result, cellArea []float64, opt Options) ([]float64, float64)
 			over += (u - opt.MaxBinDensity) * binCap
 		}
 	}
-	return util, over / total
+	return over / total
 }
 
-// netLengths returns every net's half-perimeter and their sum, the HPWL.
-func netLengths(nl *netlist.Netlist, res *Result) ([]float64, float64) {
-	lengths := make([]float64, len(nl.Nets))
+// netLengths stores every net's half-perimeter in res.NetLen and returns
+// their sum, the HPWL.
+func netLengths(nl *netlist.Netlist, res *Result) float64 {
+	lengths := slices.Grow(res.NetLen[:0], len(nl.Nets))[:len(nl.Nets)]
+	clear(lengths)
+	res.NetLen = lengths
 	var total float64
 	for id, net := range nl.Nets {
 		if net.Driver < 0 || len(net.Sinks) == 0 {
@@ -369,7 +418,7 @@ func netLengths(nl *netlist.Netlist, res *Result) ([]float64, float64) {
 		lengths[id] = (maxX - minX) + (maxY - minY)
 		total += lengths[id]
 	}
-	return lengths, total
+	return total
 }
 
 func clamp(v, lo, hi float64) float64 {

@@ -6,6 +6,7 @@ package power
 
 import (
 	"fmt"
+	"slices"
 
 	"ppatuner/internal/pdtool/cts"
 	"ppatuner/internal/pdtool/drv"
@@ -64,6 +65,18 @@ func activityFor(k lib.Kind, a float64) float64 {
 // come from the DRV buffering plan and routed detours; the clock component
 // from the CTS result.
 func Analyze(nl *netlist.Netlist, l *lib.Library, fix *drv.Result, rt *route.Result, ct *cts.Result, opt Options) (*Breakdown, error) {
+	return new(Analyzer).Analyze(nl, l, fix, rt, ct, opt)
+}
+
+// An Analyzer runs power analyses one after another in the same memory:
+// the Breakdown of one Analyze stays valid only until the next.
+type Analyzer struct {
+	netAct, cellAct []float64
+	b               Breakdown
+}
+
+// Analyze is the package-level Analyze, run in a's memory.
+func (a *Analyzer) Analyze(nl *netlist.Netlist, l *lib.Library, fix *drv.Result, rt *route.Result, ct *cts.Result, opt Options) (*Breakdown, error) {
 	if opt.FreqMHz <= 0 {
 		return nil, fmt.Errorf("power: frequency %g MHz", opt.FreqMHz)
 	}
@@ -73,7 +86,11 @@ func Analyze(nl *netlist.Netlist, l *lib.Library, fix *drv.Result, rt *route.Res
 
 	// Propagate activities: net activity = driver activity; cell output
 	// activity decays per logic stage (signal correlation).
-	netAct := make([]float64, len(nl.Nets))
+	// Register D inputs are read before their drivers are visited, so
+	// every activity starts at zero.
+	netAct := slices.Grow(a.netAct[:0], len(nl.Nets))[:len(nl.Nets)]
+	clear(netAct)
+	a.netAct = netAct
 	for _, pi := range nl.PINets {
 		netAct[pi] = opt.InputActivity
 	}
@@ -84,7 +101,8 @@ func Analyze(nl *netlist.Netlist, l *lib.Library, fix *drv.Result, rt *route.Res
 			return nil, err
 		}
 	}
-	cellAct := make([]float64, len(nl.Cells))
+	cellAct := slices.Grow(a.cellAct[:0], len(nl.Cells))[:len(nl.Cells)]
+	a.cellAct = cellAct
 	for _, ci := range topo.Order {
 		c := nl.Cells[ci]
 		if c.Kind == lib.DFF {
@@ -114,7 +132,8 @@ func Analyze(nl *netlist.Netlist, l *lib.Library, fix *drv.Result, rt *route.Res
 
 	vdd2 := l.Vdd * l.Vdd
 	f := opt.FreqMHz
-	var b Breakdown
+	b := &a.b
+	*b = Breakdown{}
 	// Switching: act × C_net × Vdd² × f. fF·V²·MHz = nW.
 	for id, net := range nl.Nets {
 		if net.Driver < 0 && len(net.Sinks) == 0 {
@@ -125,10 +144,10 @@ func Analyze(nl *netlist.Netlist, l *lib.Library, fix *drv.Result, rt *route.Res
 		b.SwitchingMW += 0.5 * act * capFF * vdd2 * f
 	}
 	// Internal energy and leakage per cell (plus DRV buffers).
-	for ci, c := range nl.Cells {
-		sc := l.Scaled(c.Kind, c.Size)
-		b.InternalMW += cellAct[ci] * sc.InternalEnergy * f
-		b.LeakageMW += sc.Leakage
+	for ci := range nl.Cells {
+		c := &nl.Cells[ci]
+		b.InternalMW += cellAct[ci] * l.InternalEnergy(c.Kind, c.Size) * f
+		b.LeakageMW += l.Leakage(c.Kind, c.Size)
 	}
 	buf := l.Cell(lib.Buf)
 	b.LeakageMW += fix.BufferLeakage
@@ -144,5 +163,5 @@ func Analyze(nl *netlist.Netlist, l *lib.Library, fix *drv.Result, rt *route.Res
 	b.InternalMW /= 1e6
 	b.LeakageMW /= 1e6
 	b.ClockMW /= 1e6
-	return &b, nil
+	return b, nil
 }

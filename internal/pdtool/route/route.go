@@ -8,6 +8,7 @@ package route
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"ppatuner/internal/pdtool/netlist"
 	"ppatuner/internal/pdtool/place"
@@ -64,6 +65,28 @@ var neighbours = [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}}
 
 // Route computes per-net detours and congestion statistics.
 func Route(nl *netlist.Netlist, pl *place.Result, opt Options) (*Result, error) {
+	return new(Router).Route(nl, pl, opt)
+}
+
+// A Router routes designs one after another in the same memory: the Result
+// of one Route stays valid only until the next.
+type Router struct {
+	demand, moved []float64  // per bin, µm of wire
+	ratio         []binRatio // per bin
+	spans         []span     // per net
+	cellBin       [][2]int   // per cell: bin column and row
+	res           Result
+}
+
+// span is the bin rectangle a net's pins cover.
+type span struct{ x0, x1, y0, y1 int }
+
+// binRatio is a bin's demand and rerouted demand as fractions of capacity.
+type binRatio struct{ cong, moved float64 }
+
+// Route computes per-net detours and congestion statistics, as the
+// package-level Route does, in r's memory.
+func (r *Router) Route(nl *netlist.Netlist, pl *place.Result, opt Options) (*Result, error) {
 	if opt.TrackPitchUm <= 0 {
 		opt.TrackPitchUm = 0.08
 	}
@@ -79,9 +102,12 @@ func Route(nl *netlist.Netlist, pl *place.Result, opt Options) (*Result, error) 
 	// Capacity: routable wirelength per bin across all layers.
 	capacity := float64(opt.Layers) * (binW/opt.TrackPitchUm*binH + binH/opt.TrackPitchUm*binW) / 2
 
-	demand := make([]float64, bx*by)
-	type span struct{ x0, x1, y0, y1 int }
-	spans := make([]span, len(nl.Nets))
+	nbins := bx * by
+	demand := slices.Grow(r.demand[:0], nbins)[:nbins]
+	clear(demand)
+	r.demand = demand
+	spans := slices.Grow(r.spans[:0], len(nl.Nets))[:len(nl.Nets)]
+	r.spans = spans
 	addDemand := func(s span, length float64) {
 		nb := float64((s.x1 - s.x0 + 1) * (s.y1 - s.y0 + 1))
 		per := length / nb
@@ -91,20 +117,13 @@ func Route(nl *netlist.Netlist, pl *place.Result, opt Options) (*Result, error) 
 			}
 		}
 	}
-	binOf := func(xc, yc float64) (int, int) {
-		x := int(xc / pl.CoreW * float64(bx))
-		y := int(yc / pl.CoreH * float64(by))
-		if x < 0 {
-			x = 0
-		} else if x >= bx {
-			x = bx - 1
-		}
-		if y < 0 {
-			y = 0
-		} else if y >= by {
-			y = by - 1
-		}
-		return x, y
+	// Every cell's bin column and row, computed once rather than per pin.
+	cellBin := slices.Grow(r.cellBin[:0], len(nl.Cells))[:len(nl.Cells)]
+	r.cellBin = cellBin
+	for ci := range cellBin {
+		x := int(pl.X[ci] / pl.CoreW * float64(bx))
+		y := int(pl.Y[ci] / pl.CoreH * float64(by))
+		cellBin[ci] = [2]int{min(max(x, 0), bx-1), min(max(y, 0), by-1)}
 	}
 	lengths := pl.NetLen
 	for id, net := range nl.Nets {
@@ -112,10 +131,10 @@ func Route(nl *netlist.Netlist, pl *place.Result, opt Options) (*Result, error) 
 			spans[id] = span{0, 0, 0, 0}
 			continue
 		}
-		x0, y0 := binOf(pl.X[net.Driver], pl.Y[net.Driver])
+		x0, y0 := cellBin[net.Driver][0], cellBin[net.Driver][1]
 		s := span{x0, x0, y0, y0}
 		for _, snk := range net.Sinks {
-			x, y := binOf(pl.X[snk], pl.Y[snk])
+			x, y := cellBin[snk][0], cellBin[snk][1]
 			s.x0 = min(s.x0, x)
 			s.x1 = max(s.x1, x)
 			s.y0 = min(s.y0, y)
@@ -134,7 +153,9 @@ func Route(nl *netlist.Netlist, pl *place.Result, opt Options) (*Result, error) 
 	case EffortHigh:
 		passes = 4
 	}
-	moved := make([]float64, bx*by)
+	moved := slices.Grow(r.moved[:0], nbins)[:nbins]
+	clear(moved)
+	r.moved = moved
 	for p := 0; p < passes; p++ {
 		changed := false
 		for y := 0; y < by; y++ {
@@ -172,7 +193,9 @@ func Route(nl *netlist.Netlist, pl *place.Result, opt Options) (*Result, error) 
 		}
 	}
 
-	res := &Result{Detour: make([]float64, len(nl.Nets))}
+	res := &r.res
+	// Every net's detour is written below.
+	*res = Result{Detour: slices.Grow(res.Detour[:0], len(nl.Nets))[:len(nl.Nets)]}
 	var congSum float64
 	occupied := 0
 	var overflow float64
@@ -197,9 +220,10 @@ func Route(nl *netlist.Netlist, pl *place.Result, opt Options) (*Result, error) 
 	// Per-net detour: average congestion over the net's span, plus the
 	// rip-up tax of rerouted demand crossing its bins. Both are summed per
 	// bin as ratios to capacity, so convert once.
+	ratio := slices.Grow(r.ratio[:0], nbins)[:nbins]
+	r.ratio = ratio
 	for b := range demand {
-		demand[b] /= capacity
-		moved[b] /= capacity
+		ratio[b] = binRatio{demand[b] / capacity, moved[b] / capacity}
 	}
 	for id := range nl.Nets {
 		s := spans[id]
@@ -211,8 +235,9 @@ func Route(nl *netlist.Netlist, pl *place.Result, opt Options) (*Result, error) 
 		nb := 0
 		for y := s.y0; y <= s.y1; y++ {
 			for x := s.x0; x <= s.x1; x++ {
-				c += demand[y*bx+x]
-				m += moved[y*bx+x]
+				r := ratio[y*bx+x]
+				c += r.cong
+				m += r.moved
 				nb++
 			}
 		}

@@ -9,6 +9,8 @@ package sta
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"ppatuner/internal/pdtool/drv"
 	"ppatuner/internal/pdtool/lib"
@@ -78,8 +80,18 @@ type engine struct {
 	// stale[n] marks netDelay[n] for recomputation by the next propagate:
 	// every net at first, then the nets whose driver or sinks were resized.
 	stale []bool
-	// minNetArrive mirrors netArrive for the earliest (hold) paths.
+	// rank[c] is cell c's position in order. dirty is a bit set over
+	// those positions: the cells an incremental propagate recomputes.
+	// analysed records that the first, full propagate has run.
+	rank     []int
+	dirty    []uint64
+	analysed bool
+	// minNetArrive mirrors netArrive for the earliest (hold) paths; only
+	// propagateEarly fills it.
 	minNetArrive []float64
+	// dNets are the register D-input nets in cell order: with the primary
+	// outputs, the timing endpoints.
+	dNets []int
 	// Scratch reused by upsizeCritical across passes.
 	endpoints []int
 	seen      []bool
@@ -87,20 +99,38 @@ type engine struct {
 
 // Analyze runs one STA pass (no optimisation) and returns the timing result.
 func Analyze(nl *netlist.Netlist, l *lib.Library, pl *place.Result, fix *drv.Result, rt *route.Result, opt Options) (*Result, error) {
-	e, err := newEngine(nl, l, pl, fix, rt, opt)
-	if err != nil {
-		return nil, err
-	}
-	e.propagate()
-	return e.result(0, 0), nil
+	return new(Timer).Analyze(nl, l, pl, fix, rt, opt)
 }
 
 // Optimize runs STA passes interleaved with critical-path upsizing until the
 // timing goal is met or the pass budget is exhausted. Cell sizes in nl are
 // mutated — callers pass a per-run copy of the netlist.
 func Optimize(nl *netlist.Netlist, l *lib.Library, pl *place.Result, fix *drv.Result, rt *route.Result, opt Options) (*Result, error) {
-	e, err := newEngine(nl, l, pl, fix, rt, opt)
-	if err != nil {
+	return new(Timer).Optimize(nl, l, pl, fix, rt, opt)
+}
+
+// A Timer runs timing analyses one after another in the same memory: the
+// Result of one Analyze or Optimize stays valid only until the next.
+type Timer struct {
+	e   engine
+	res Result
+}
+
+// Analyze is the package-level Analyze, run in t's memory.
+func (t *Timer) Analyze(nl *netlist.Netlist, l *lib.Library, pl *place.Result, fix *drv.Result, rt *route.Result, opt Options) (*Result, error) {
+	e := &t.e
+	if err := e.reset(nl, l, pl, fix, rt, opt); err != nil {
+		return nil, err
+	}
+	e.propagate()
+	t.res = e.result(0, 0)
+	return &t.res, nil
+}
+
+// Optimize is the package-level Optimize, run in t's memory.
+func (t *Timer) Optimize(nl *netlist.Netlist, l *lib.Library, pl *place.Result, fix *drv.Result, rt *route.Result, opt Options) (*Result, error) {
+	e := &t.e
+	if err := e.reset(nl, l, pl, fix, rt, opt); err != nil {
 		return nil, err
 	}
 	if opt.MaxSize <= 1 {
@@ -122,12 +152,14 @@ func Optimize(nl *netlist.Netlist, l *lib.Library, pl *place.Result, fix *drv.Re
 		}
 		upsized += n
 	}
-	return e.result(pass, upsized), nil
+	t.res = e.result(pass, upsized)
+	return &t.res, nil
 }
 
-func newEngine(nl *netlist.Netlist, l *lib.Library, pl *place.Result, fix *drv.Result, rt *route.Result, opt Options) (*engine, error) {
+// reset prepares e for a new analysis, reusing its buffers.
+func (e *engine) reset(nl *netlist.Netlist, l *lib.Library, pl *place.Result, fix *drv.Result, rt *route.Result, opt Options) error {
 	if opt.TargetPeriodPS <= 0 {
-		return nil, fmt.Errorf("sta: target period %g ps", opt.TargetPeriodPS)
+		return fmt.Errorf("sta: target period %g ps", opt.TargetPeriodPS)
 	}
 	if opt.RCFactor <= 0 {
 		opt.RCFactor = 1
@@ -136,24 +168,42 @@ func newEngine(nl *netlist.Netlist, l *lib.Library, pl *place.Result, fix *drv.R
 	if topo == nil {
 		var err error
 		if topo, err = nl.Topology(); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	e := &engine{
+	nc, nn := len(nl.Cells), len(nl.Nets)
+	*e = engine{
 		nl: nl, lib: l, pl: pl, fix: fix, rt: rt, opt: opt,
 		order:        topo.Order,
 		buf:          l.Cell(lib.Buf),
-		argmax:       make([]int, len(nl.Cells)),
-		netArrive:    make([]float64, len(nl.Nets)),
-		netDelay:     make([]float64, len(nl.Nets)),
-		stale:        make([]bool, len(nl.Nets)),
-		minNetArrive: make([]float64, len(nl.Nets)),
-		seen:         make([]bool, len(nl.Cells)),
+		argmax:       slices.Grow(e.argmax[:0], nc)[:nc],
+		netArrive:    slices.Grow(e.netArrive[:0], nn)[:nn],
+		netDelay:     slices.Grow(e.netDelay[:0], nn)[:nn],
+		stale:        slices.Grow(e.stale[:0], nn)[:nn],
+		rank:         slices.Grow(e.rank[:0], nc)[:nc],
+		dirty:        slices.Grow(e.dirty[:0], (nc+63)/64)[:(nc+63)/64],
+		minNetArrive: slices.Grow(e.minNetArrive[:0], nn)[:nn],
+		dNets:        e.dNets[:0],
+		endpoints:    e.endpoints[:0],
+		seen:         slices.Grow(e.seen[:0], nc)[:nc],
 	}
+	clear(e.argmax)
+	clear(e.netArrive)
+	clear(e.netDelay)
+	clear(e.dirty)
+	clear(e.minNetArrive)
 	for id := range e.stale {
 		e.stale[id] = true
 	}
-	return e, nil
+	for k, ci := range e.order {
+		e.rank[ci] = k
+	}
+	for _, c := range nl.Cells {
+		if c.Kind == lib.DFF && len(c.Inputs) > 0 {
+			e.dNets = append(e.dNets, c.Inputs[0])
+		}
+	}
+	return nil
 }
 
 // computeNetDelay returns the driver-cell-input to sink-pin delay of the
@@ -191,53 +241,136 @@ func (e *engine) computeNetDelay(netID int) float64 {
 	return d
 }
 
-// propagate computes arrival times in topological order, first refreshing
-// the delays of stale nets.
+// propagate computes the latest (setup) arrival times in topological
+// order, first refreshing the delays of stale nets. The first call
+// computes every cell. Later calls recompute only the cells whose output
+// net's delay or one of whose input arrivals changed — after a sizing pass,
+// the fan-out cones of the resized cells. Every other cell sees
+// bit-identical inputs, so its arrival and critical input stay as they
+// were. The earliest (hold) arrivals only feed the final result, so
+// propagateEarly computes them once, after the last sizing pass.
 //
 //ppalint:noalloc
 func (e *engine) propagate() {
 	nl := e.nl
+	full := !e.analysed
+	e.analysed = true
 	for id, stale := range e.stale {
-		if stale {
-			e.netDelay[id] = e.computeNetDelay(id)
-			e.stale[id] = false
+		if !stale {
+			continue
+		}
+		e.stale[id] = false
+		d := e.computeNetDelay(id)
+		if !full && math.Float64bits(d) == math.Float64bits(e.netDelay[id]) {
+			continue
+		}
+		e.netDelay[id] = d
+		if drv := nl.Nets[id].Driver; drv >= 0 {
+			e.markDirty(e.rank[drv])
 		}
 	}
-	// PI nets launch at t=0 for setup analysis (conservative). For hold
-	// analysis, primary inputs come from upstream registered logic, so the
-	// earliest they can change is a clk-to-q after the edge.
+	// PI nets launch at t=0 for setup analysis (conservative).
 	for _, pi := range nl.PINets {
-		e.netArrive[pi] = e.netDelay[pi]
+		e.setArrival(pi, e.netDelay[pi], full, -1)
+	}
+	if full {
+		for k := range e.order {
+			e.evalCell(k, true)
+		}
+		return
+	}
+	// Visit the dirty positions in increasing order. Evaluating a cell
+	// only marks later positions, so a word is re-read until it is clear.
+	for w := range e.dirty {
+		for e.dirty[w] != 0 {
+			b := bits.TrailingZeros64(e.dirty[w])
+			e.dirty[w] &^= 1 << b
+			e.evalCell(w*64+b, false)
+		}
+	}
+}
+
+// evalCell recomputes the latest arrival at the output of the cell at
+// position k of the topological order.
+func (e *engine) evalCell(k int, full bool) {
+	c := &e.nl.Cells[e.order[k]]
+	if c.Kind == lib.DFF {
+		// Launch: Q arrives clk-to-q plus its net delay.
+		if c.Out >= 0 {
+			e.setArrival(c.Out, e.lib.ClkToQ+e.netDelay[c.Out], full, k)
+		}
+		return
+	}
+	worst := 0.0
+	arg := -1
+	for _, in := range c.Inputs {
+		if a := e.netArrive[in]; a > worst {
+			worst = a
+			arg = in
+		}
+	}
+	e.argmax[e.order[k]] = arg
+	if c.Out >= 0 {
+		e.setArrival(c.Out, worst+e.netDelay[c.Out], full, k)
+	}
+}
+
+// setArrival stores net's latest arrival, set by the cell at position k of
+// the topological order (-1 for a primary input). On an incremental pass a
+// changed arrival marks the net's sinks for recomputation. Combinational
+// sinks come later in the order, so the same pass reaches them; a register
+// launches independently of its D input, so sinks at or before k are
+// registers and stay clean.
+func (e *engine) setArrival(net int, a float64, full bool, k int) {
+	if full {
+		e.netArrive[net] = a
+		return
+	}
+	if math.Float64bits(a) == math.Float64bits(e.netArrive[net]) {
+		return
+	}
+	e.netArrive[net] = a
+	for _, s := range e.nl.Nets[net].Sinks {
+		if r := e.rank[s]; r > k {
+			e.markDirty(r)
+		}
+	}
+}
+
+// markDirty marks the cell at position k of the topological order for
+// recomputation.
+func (e *engine) markDirty(k int) { e.dirty[k/64] |= 1 << (k % 64) }
+
+// propagateEarly computes the earliest (hold) arrival times from the net
+// delays and critical inputs of the last propagate. A cell none of whose
+// inputs has a positive latest arrival launches its output at 0.
+//
+//ppalint:noalloc
+func (e *engine) propagateEarly() {
+	nl := e.nl
+	// For hold analysis, primary inputs come from upstream registered
+	// logic, so the earliest they can change is a clk-to-q after the edge.
+	for _, pi := range nl.PINets {
 		e.minNetArrive[pi] = e.lib.ClkToQ + e.netDelay[pi]
 	}
 	for _, ci := range e.order {
 		c := &nl.Cells[ci]
 		if c.Kind == lib.DFF {
-			// Launch: Q arrives clk-to-q plus its net delay.
 			if c.Out >= 0 {
-				e.netArrive[c.Out] = e.lib.ClkToQ + e.netDelay[c.Out]
 				e.minNetArrive[c.Out] = e.lib.ClkToQ + e.netDelay[c.Out]
 			}
 			continue
 		}
-		worst := 0.0
 		best := math.Inf(1)
-		arg := -1
 		for _, in := range c.Inputs {
-			if a := e.netArrive[in]; a > worst {
-				worst = a
-				arg = in
-			}
 			if a := e.minNetArrive[in]; a < best {
 				best = a
 			}
 		}
-		if arg < 0 {
+		if e.argmax[ci] < 0 {
 			best = 0
 		}
-		e.argmax[ci] = arg
 		if c.Out >= 0 {
-			e.netArrive[c.Out] = worst + e.netDelay[c.Out]
 			e.minNetArrive[c.Out] = best + e.netDelay[c.Out]
 		}
 	}
@@ -246,11 +379,8 @@ func (e *engine) propagate() {
 // minEndpointArrival returns the earliest endpoint arrival (hold analysis).
 func (e *engine) minEndpointArrival() float64 {
 	best := math.Inf(1)
-	for _, c := range e.nl.Cells {
-		if c.Kind != lib.DFF || len(c.Inputs) == 0 {
-			continue
-		}
-		if a := e.minNetArrive[c.Inputs[0]]; a < best {
+	for _, d := range e.dNets {
+		if a := e.minNetArrive[d]; a < best {
 			best = a
 		}
 	}
@@ -264,13 +394,10 @@ func (e *engine) minEndpointArrival() float64 {
 // primary outputs) and that endpoint's net.
 func (e *engine) criticalArrival() (float64, int) {
 	worst, arg := 0.0, -1
-	for _, c := range e.nl.Cells {
-		if c.Kind != lib.DFF || len(c.Inputs) == 0 {
-			continue
-		}
-		if a := e.netArrive[c.Inputs[0]]; a > worst {
+	for _, d := range e.dNets {
+		if a := e.netArrive[d]; a > worst {
 			worst = a
-			arg = c.Inputs[0]
+			arg = d
 		}
 	}
 	for _, po := range e.nl.PONets {
@@ -300,12 +427,9 @@ func (e *engine) upsizeCritical() int {
 	// Collect endpoint nets within 3% of the worst arrival.
 	eps := e.endpoints[:0]
 	threshold := 0.97 * crit
-	for _, c := range e.nl.Cells {
-		if c.Kind != lib.DFF || len(c.Inputs) == 0 {
-			continue
-		}
-		if e.netArrive[c.Inputs[0]] >= threshold {
-			eps = append(eps, c.Inputs[0])
+	for _, d := range e.dNets {
+		if e.netArrive[d] >= threshold {
+			eps = append(eps, d)
 		}
 	}
 	for _, po := range e.nl.PONets {
@@ -352,14 +476,15 @@ func (e *engine) upsizeCritical() int {
 	return changed
 }
 
-func (e *engine) result(passes, upsized int) *Result {
+func (e *engine) result(passes, upsized int) Result {
+	e.propagateEarly()
 	crit, _ := e.criticalArrival()
 	achieved := crit + e.lib.SetupTime + e.opt.SkewPS
 	minPath := e.minEndpointArrival()
 	// Hold check: data launched at an edge must not race through before the
 	// capture register's hold window (skew makes capture clocks late).
 	const holdTimePS = 8
-	return &Result{
+	return Result{
 		CriticalPathPS:   crit,
 		AchievedPeriodPS: achieved,
 		SlackPS:          e.opt.TargetPeriodPS - achieved,

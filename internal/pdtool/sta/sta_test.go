@@ -1,6 +1,7 @@
 package sta
 
 import (
+	"math"
 	"testing"
 
 	"ppatuner/internal/pdtool/drv"
@@ -240,8 +241,8 @@ func TestNetDelayBufferingLongNetHelps(t *testing.T) {
 		}
 		opt := baseOpts()
 		opt.RCFactor = 1
-		e, err := newEngine(r.nl, r.lib, r.pl, fix, r.rt, opt)
-		if err != nil {
+		e := new(engine)
+		if err := e.reset(r.nl, r.lib, r.pl, fix, r.rt, opt); err != nil {
 			t.Fatal(err)
 		}
 		e.propagate()
@@ -284,5 +285,61 @@ func TestHoldAnalysis(t *testing.T) {
 	// not be hold-critical at 10ps skew.
 	if res.HoldSlackPS < 0 {
 		t.Errorf("hold slack %g negative at nominal skew", res.HoldSlackPS)
+	}
+}
+
+// TestIncrementalPropagateMatchesFull pins the incremental arrival update:
+// after every sizing pass, the arrivals, critical inputs and net delays it
+// leaves are bit-identical to a full propagate over the same sizes.
+func TestIncrementalPropagateMatchesFull(t *testing.T) {
+	for _, width := range []int{10, 16} {
+		r := buildRig(t)
+		if width != 10 {
+			nl, err := netlist.MAC("m", width)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.nl = nl
+			if r.pl, err = place.Place(nl, r.lib, place.Options{TargetUtil: 0.7, MaxBinDensity: 0.85, Iterations: 6}); err != nil {
+				t.Fatal(err)
+			}
+			if r.fix, err = drv.Fix(nl, r.lib, r.pl, drv.Limits{MaxFanout: 32, MaxCapFF: 100, MaxTransPS: 250, MaxLenUm: 300}); err != nil {
+				t.Fatal(err)
+			}
+			if r.rt, err = route.Route(nl, r.pl, route.Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		opt := baseOpts()
+		opt.MaxSize = 8
+		inc := new(engine)
+		if err := inc.reset(r.nl, r.lib, r.pl, r.fix, r.rt, opt); err != nil {
+			t.Fatal(err)
+		}
+		inc.propagate()
+		passes := 0
+		for ; passes < 12 && inc.upsizeCritical() > 0; passes++ {
+			inc.propagate()
+			full := new(engine)
+			if err := full.reset(r.nl, r.lib, r.pl, r.fix, r.rt, opt); err != nil {
+				t.Fatal(err)
+			}
+			full.propagate()
+			for n := range full.netArrive {
+				if math.Float64bits(inc.netArrive[n]) != math.Float64bits(full.netArrive[n]) ||
+					math.Float64bits(inc.netDelay[n]) != math.Float64bits(full.netDelay[n]) {
+					t.Fatalf("width %d pass %d net %d: incremental arrival %v delay %v, full %v %v",
+						width, passes, n, inc.netArrive[n], inc.netDelay[n], full.netArrive[n], full.netDelay[n])
+				}
+			}
+			for c := range full.argmax {
+				if inc.argmax[c] != full.argmax[c] {
+					t.Fatalf("width %d pass %d cell %d: incremental critical input %d, full %d", width, passes, c, inc.argmax[c], full.argmax[c])
+				}
+			}
+		}
+		if passes < 2 {
+			t.Fatalf("width %d: only %d sizing passes ran; the check needs several", width, passes)
+		}
 	}
 }
