@@ -180,6 +180,24 @@ func (p *Placer) Place(nl *netlist.Netlist, l *lib.Library, opt Options) (*Resul
 		}
 		netW[id] = w
 	}
+	// Each cell's total pull weight depends on the net weights alone, so
+	// it is summed once here, in the order forceStep would sum it.
+	wsum := ws.wsum
+	clear(wsum)
+	for id, net := range nl.Nets {
+		a := net.Driver
+		if a < 0 {
+			continue
+		}
+		w, wa := netW[id], wsum[a]
+		for _, b := range net.Sinks {
+			if b != a {
+				wa += w
+				wsum[b] += w
+			}
+		}
+		wsum[a] = wa
+	}
 
 	for iter := 0; iter < opt.Iterations; iter++ {
 		step := 0.7 * math.Pow(0.85, float64(iter))
@@ -203,6 +221,7 @@ type workspace struct {
 	totalArea float64   // sum of cellArea, µm²
 	pos       []point   // per cell: position, µm (copied to X, Y at the end)
 	pull      []pull    // per cell: weighted pull sums (forceStep)
+	wsum      []float64 // per cell: total pull weight
 	util      []float64 // per bin: utilisation (spread)
 	center    []point   // per bin: its centre, where spread puts moved cells
 	// Each bin's members form a LIFO stack threaded through next: top[b]
@@ -221,6 +240,7 @@ func (ws *workspace) reset(cells, bins int) {
 	ws.totalArea = 0
 	ws.pos = slices.Grow(ws.pos[:0], cells)[:cells]
 	ws.pull = slices.Grow(ws.pull[:0], cells)[:cells]
+	ws.wsum = slices.Grow(ws.wsum[:0], cells)[:cells]
 	ws.util = slices.Grow(ws.util[:0], bins)[:bins]
 	ws.center = slices.Grow(ws.center[:0], bins)[:bins]
 	ws.top = slices.Grow(ws.top[:0], bins)[:bins]
@@ -246,9 +266,8 @@ func (ws *workspace) pop(b int) int {
 // point is a cell position; forceStep reads x and y together.
 type point struct{ x, y float64 }
 
-// pull accumulates the weighted positions of a cell's neighbours and their
-// total weight, side by side in memory.
-type pull struct{ x, y, w float64 }
+// pull accumulates the weighted positions of a cell's neighbours.
+type pull struct{ x, y float64 }
 
 // neighbours are the bin offsets spread tries, in preference order on ties.
 var neighbours = [8][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}, {1, 1}, {-1, -1}, {1, -1}, {-1, 1}}
@@ -277,20 +296,19 @@ func forceStep(nl *netlist.Netlist, res *Result, ws *workspace, netW []float64, 
 			}
 			pa.x += w * pos[b].x
 			pa.y += w * pos[b].y
-			pa.w += w
 			pb := &ps[b]
 			pb.x += w * xa
 			pb.y += w * ya
-			pb.w += w
 		}
 		ps[a] = pa
 	}
 	for ci, p := range ps {
-		if p.w == 0 {
+		pw := ws.wsum[ci]
+		if pw == 0 {
 			continue
 		}
-		cx := p.x / p.w
-		cy := p.y / p.w
+		cx := p.x / pw
+		cy := p.y / pw
 		q := &pos[ci]
 		q.x += step * (cx - q.x)
 		q.y += step * (cy - q.y)
