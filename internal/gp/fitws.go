@@ -102,16 +102,18 @@ func (w *fitWS) fillGram(g *GP) {
 			// paper's 8-dimensional tuning space hits the asm fast path.
 			simd.Matern52ARD(gm[:np], sq, inv2, vr)
 		case RBF:
-			// EvalR2's RBF arm written in line: the same products, without
-			// a call and a kernel switch per entry.
+			// EvalR2's RBF arm split in two passes: −r²/2 per entry, then
+			// vr·e^x over the buffer, four lanes at a time and bit for bit
+			// what the scalar arm computes.
 			for p := 0; p < np; p++ {
 				row := sq[p*d : p*d+d : p*d+d]
 				var r2 float64
 				for k := 0; k < d; k++ {
 					r2 += row[k] * inv2[k]
 				}
-				gm[p] = vr * math.Exp(-0.5*r2)
+				gm[p] = -0.5 * r2
 			}
+			simd.ScaledExp(gm[:np], vr)
 		default:
 			for p := 0; p < np; p++ {
 				row := sq[p*d : p*d+d : p*d+d]
@@ -130,6 +132,11 @@ func (w *fitWS) fillGram(g *GP) {
 				gm[p] = s * inv2
 			}
 			simd.Matern52FromR2(gm[:np], vr)
+		case RBF:
+			for p, s := range w.r2raw {
+				gm[p] = -0.5 * (s * inv2)
+			}
+			simd.ScaledExp(gm[:np], vr)
 		default:
 			for p, s := range w.r2raw {
 				gm[p] = g.cov.EvalR2(s * inv2)

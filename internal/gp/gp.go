@@ -7,6 +7,7 @@ import (
 
 	"ppatuner/internal/mat"
 	"ppatuner/internal/par"
+	"ppatuner/internal/simd"
 )
 
 // GP is an exact Gaussian-process regressor over one QoR metric, optionally
@@ -175,6 +176,23 @@ func (g *GP) kvecTarget(x []float64, dst []float64) {
 // kvecInto is kvecTarget with the cross-task factor hoisted by the caller,
 // so sweeps over many test points pay TransferFactor's math.Pow once.
 func (g *GP) kvecInto(x []float64, dst []float64, rho float64) {
+	if g.cov.Kind == RBF {
+		// Eval's RBF arm in two passes: −r²/2 per training point, then
+		// Var·e^x over the vector, four lanes at a time and bit for bit
+		// what Eval computes; source entries then take their ρ.
+		for i, xi := range g.xs {
+			dst[i] = -0.5 * g.cov.r2(x, xi)
+		}
+		off := len(g.xs)
+		for i, xi := range g.xt {
+			dst[off+i] = -0.5 * g.cov.r2(x, xi)
+		}
+		simd.ScaledExp(dst[:off+len(g.xt)], g.cov.Var)
+		for i := range g.xs {
+			dst[i] *= rho
+		}
+		return
+	}
 	for i, xi := range g.xs {
 		dst[i] = rho * g.cov.Eval(x, xi)
 	}

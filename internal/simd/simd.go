@@ -148,3 +148,35 @@ func Axpy(dst, x []float64, a float64) {
 		dst[i] += a * x[i]
 	}
 }
+
+// expFloor is the least argument ScaledExp's assembly path takes: from
+// −708 up to 0, math.Exp's amd64 code runs straight through, with no
+// underflow, denormal or overflow branch.
+const expFloor = -708.0
+
+// ScaledExp sets v[i] = vr·e^{v[i]} for every i, bit for bit what the
+// scalar expression vr*math.Exp(v[i]) gives — unlike the package's other
+// kernels, it is exact. On amd64 with AVX2+FMA it runs math.Exp's own
+// algorithm four lanes at a time, in the FMA variant that math.Exp itself
+// selects on such hardware, for arguments in [−708, 0] (a Gram fill's
+// −r²/2); blocks holding any other argument, and other hardware, call
+// math.Exp.
+func ScaledExp(v []float64, vr float64) {
+	i := 0
+	if useAsm {
+		for len(v)-i >= 4 {
+			i += scaledExpAsm(&v[i], (len(v)-i)&^3, vr)
+			if len(v)-i < 4 {
+				break
+			}
+			// The assembly stopped at a block with an argument outside
+			// its domain.
+			for end := i + 4; i < end; i++ {
+				v[i] = vr * math.Exp(v[i])
+			}
+		}
+	}
+	for ; i < len(v); i++ {
+		v[i] = vr * math.Exp(v[i])
+	}
+}

@@ -28,6 +28,12 @@ func matern52ARD8x512(dst, sqd, inv2 *float64, n int, vr float64)
 // axpyAsm accumulates dst[i] += a*x[i] for i < n (n a multiple of 4).
 func axpyAsm(dst, x *float64, n int, a float64)
 
+// scaledExpAsm sets v[i] = vr·e^{v[i]} four lanes at a time for i < n (n a
+// multiple of 4), stopping before the first block of four with an argument
+// outside [-708, 0]. It returns how many elements it transformed. See
+// ScaledExp; its constants live in expTab.
+func scaledExpAsm(v *float64, n int, vr float64) int
+
 // cpuid executes the CPUID instruction with the given leaf/subleaf.
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
@@ -89,6 +95,36 @@ func init() {
 	for k, v := range vals {
 		for lane := 0; lane < 4; lane++ {
 			maternTab[k*4+lane] = v
+		}
+	}
+}
+
+// expTab holds the constants of scaledExpAsm as 32-byte blocks (each value
+// replicated into all four lanes). Block k lives at byte offset k·32:
+//
+//	0 domain floor −708 · 1 zero · 2 log2(e) · 3 ln2 upper · 4 ln2 lower ·
+//	5 1/16 · 6…13 Taylor 1/8! … 1/2!, 1/1!, 1/0! as math.Exp spells them
+//	(Horner order) · 14 two · 15 exponent bias 1023 as raw int64
+//
+// The values are the literals of math.Exp's amd64 assembly, so each lane
+// repeats its arithmetic exactly.
+var expTab [64]float64
+
+func init() {
+	vals := [16]float64{
+		expFloor, 0,
+		1.4426950408889634073599246810018920,                  // log2(e)
+		0.69314718055966295651160180568695068359375,           // ln2 upper half
+		0.28235290563031577122588448175013436025525412068e-12, // ln2 lower half
+		0.0625,
+		2.4801587301587301587e-5, 1.9841269841269841270e-4, 1.3888888888888888889e-3,
+		8.3333333333333333333e-3, 4.1666666666666666667e-2, 1.6666666666666666667e-1,
+		0.5, 1.0, 2.0,
+		math.Float64frombits(1023),
+	}
+	for k, v := range vals {
+		for lane := 0; lane < 4; lane++ {
+			expTab[k*4+lane] = v
 		}
 	}
 }

@@ -434,3 +434,69 @@ ard512loop:
 ard512done:
 	VZEROUPPER
 	RET
+
+// func scaledExpAsm(v *float64, n int, vr float64) int
+//
+// In-place v[i] = vr·e^{v[i]}, four lanes per iteration, replaying the FMA
+// path of math.Exp's amd64 assembly (exp_amd64.s) operation for operation:
+// k = round(x·log2e), r = (x − k·ln2u − k·ln2l)/16, a degree-8 Taylor
+// polynomial in Horner form, four squarings as r·(r+2), then the scale by
+// 2^k built in the exponent bits. Arguments in [−708, 0] never reach that
+// code's special cases, so a block is processed only when all four lanes
+// are in range; the first block that is not ends the loop. Returns the
+// number of elements transformed. Constants live in ·expTab.
+TEXT ·scaledExpAsm(SB), NOSPLIT, $0-32
+	MOVQ v+0(FP), SI
+	MOVQ n+8(FP), CX
+	VBROADCASTSD vr+16(FP), Y15
+	LEAQ ·expTab(SB), DX
+	XORQ AX, AX
+	SHRQ $2, CX
+	JZ   sedone
+
+seloop:
+	VMOVUPD (SI), Y0                // x
+	VCMPPD  $0x0d, (DX), Y0, Y1     // x >= -708 (false for NaN)
+	VCMPPD  $0x02, 32(DX), Y0, Y2   // x <= 0
+	VANDPD  Y2, Y1, Y1
+	VMOVMSKPD Y1, BX
+	CMPQ    BX, $15
+	JNE     sedone
+	VMULPD  64(DX), Y0, Y1          // x·log2e
+	VCVTPD2DQY Y1, X2               // k, rounded to nearest even
+	VCVTDQ2PD X2, Y1
+	VFNMADD231PD 96(DX), Y1, Y0     // x -= k·ln2u
+	VFNMADD231PD 128(DX), Y1, Y0    // x -= k·ln2l
+	VMULPD  160(DX), Y0, Y0         // r = x/16
+	VMOVUPD 192(DX), Y3             // Horner from 1/8!
+	VFMADD213PD 224(DX), Y0, Y3
+	VFMADD213PD 256(DX), Y0, Y3
+	VFMADD213PD 288(DX), Y0, Y3
+	VFMADD213PD 320(DX), Y0, Y3
+	VFMADD213PD 352(DX), Y0, Y3
+	VFMADD213PD 384(DX), Y0, Y3
+	VFMADD213PD 416(DX), Y0, Y3
+	VMULPD  Y3, Y0, Y0              // e^r − 1
+	VADDPD  448(DX), Y0, Y3         // four squarings: y = y·(y+2)
+	VMULPD  Y3, Y0, Y0
+	VADDPD  448(DX), Y0, Y3
+	VMULPD  Y3, Y0, Y0
+	VADDPD  448(DX), Y0, Y3
+	VMULPD  Y3, Y0, Y0
+	VADDPD  448(DX), Y0, Y3
+	VFMADD213PD 416(DX), Y3, Y0     // ... the last one plus 1: e^{16r}
+	VPMOVSXDQ X2, Y4
+	VPADDQ  480(DX), Y4, Y4
+	VPSLLQ  $52, Y4, Y4             // 2^k in the exponent bits
+	VMULPD  Y4, Y0, Y0
+	VMULPD  Y15, Y0, Y0
+	VMOVUPD Y0, (SI)
+	ADDQ    $32, SI
+	ADDQ    $4, AX
+	DECQ    CX
+	JNZ     seloop
+
+sedone:
+	VZEROUPPER
+	MOVQ AX, ret+24(FP)
+	RET

@@ -29,3 +29,7 @@ func matern52ARD8x512(dst, sqd, inv2 *float64, n int, vr float64) {
 func axpyAsm(dst, x *float64, n int, a float64) {
 	panic("simd: axpyAsm called without assembly support")
 }
+
+func scaledExpAsm(v *float64, n int, vr float64) int {
+	panic("simd: scaledExpAsm called without assembly support")
+}

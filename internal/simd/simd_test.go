@@ -261,3 +261,35 @@ func BenchmarkMatern52ARD(b *testing.B) {
 		Matern52ARD(dst, sqd, inv2, 1.3)
 	}
 }
+
+// TestScaledExpMatchesMathExp pins ScaledExp to the scalar expression bit
+// for bit, over the assembly's domain, its edges, and arguments outside it
+// that must fall back to math.Exp.
+func TestScaledExpMatchesMathExp(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var xs []float64
+	for i := 0; i < 200000; i++ {
+		switch i % 4 {
+		case 0:
+			xs = append(xs, -rng.Float64()*720) // a few past the floor
+		case 1:
+			xs = append(xs, -rng.ExpFloat64()) // near zero, where r² is small
+		case 2:
+			xs = append(xs, -0.5*rng.Float64()*rng.Float64()*60)
+		default:
+			xs = append(xs, -rng.Float64()*1e-3)
+		}
+	}
+	xs = append(xs, 0, math.Copysign(0, -1), -708, math.Nextafter(-708, 0), math.Nextafter(-708, -1000),
+		-745.2, -1e6, math.Inf(-1), math.NaN(), 1e-300, 3.5, 710, math.Inf(1), -0.5*math.Ln2, -math.Ln2*1021.5)
+	for _, vr := range []float64{1, 0.37, 2.5e3} {
+		got := append([]float64(nil), xs...)
+		ScaledExp(got, vr)
+		for i, x := range xs {
+			want := vr * math.Exp(x)
+			if math.Float64bits(got[i]) != math.Float64bits(want) && !(math.IsNaN(got[i]) && math.IsNaN(want)) {
+				t.Fatalf("vr=%g x=%v: ScaledExp %v (%#x), vr*math.Exp %v (%#x)", vr, x, got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
+			}
+		}
+	}
+}
