@@ -104,8 +104,22 @@ func (w *fitWS) fillGram(g *GP) {
 		case RBF:
 			// EvalR2's RBF arm split in two passes: −r²/2 per entry, then
 			// vr·e^x over the buffer, four lanes at a time and bit for bit
-			// what the scalar arm computes.
-			for p := 0; p < np; p++ {
+			// what the scalar arm computes. The first pass runs four
+			// entries side by side: each still sums its own terms in
+			// dimension order, but the four add chains overlap.
+			p := 0
+			for ; p+4 <= np; p += 4 {
+				rows := sq[p*d : p*d+4*d : p*d+4*d]
+				var r0, r1, r2, r3 float64
+				for k, ik := range inv2[:d] {
+					r0 += rows[k] * ik
+					r1 += rows[d+k] * ik
+					r2 += rows[2*d+k] * ik
+					r3 += rows[3*d+k] * ik
+				}
+				gm[p], gm[p+1], gm[p+2], gm[p+3] = -0.5*r0, -0.5*r1, -0.5*r2, -0.5*r3
+			}
+			for ; p < np; p++ {
 				row := sq[p*d : p*d+d : p*d+d]
 				var r2 float64
 				for k := 0; k < d; k++ {
