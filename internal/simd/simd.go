@@ -15,11 +15,6 @@ import "math"
 // and tests).
 func Enabled() bool { return useAsm }
 
-// Enabled512 reports whether the AVX-512 kernel variants are in use. AVX-512
-// implies Enabled(); on hardware without AVX-512 the AVX2 kernels serve the
-// same calls.
-func Enabled512() bool { return useAVX512 }
-
 // DotUnroll is a four-accumulator scalar dot product. Splitting the sum
 // across independent accumulators breaks the add-latency chain so the CPU
 // keeps several multiply-adds in flight even without SIMD.
@@ -84,9 +79,9 @@ func Matern52FromR2(v []float64, vr float64) {
 //	r²     = Σ_k sqd[p·d+k] · inv2[k],   s = √5·√r²,   d = len(inv2)
 //
 // where sqd is the pair-major squared-difference tensor and inv2 the
-// per-dimension 1/ℓ². The paper's 8-knob tuning space gets dedicated asm
-// fast paths (AVX-512 when the hardware has it, else AVX2+FMA); other
-// dimensions and non-amd64 builds take the portable loop. Like the rest of
+// per-dimension 1/ℓ². The paper's 8-knob tuning space gets a dedicated
+// AVX2+FMA fast path; other dimensions and non-amd64 builds take the
+// portable loop. Like the rest of
 // the package, asm and portable results agree to within a few ulps, not
 // bit-for-bit.
 func Matern52ARD(dst, sqd, inv2 []float64, vr float64) {
@@ -97,11 +92,7 @@ func Matern52ARD(dst, sqd, inv2 []float64, vr float64) {
 	}
 	i := 0
 	if d == 8 {
-		if useAVX512 && n >= 8 {
-			e := n &^ 7
-			matern52ARD8x512(&dst[0], &sqd[0], &inv2[0], e, vr)
-			i = e
-		} else if useAsm && n >= 4 {
+		if useAsm && n >= 4 {
 			q := n &^ 3
 			matern52ARD8Asm(&dst[0], &sqd[0], &inv2[0], q, vr)
 			i = q

@@ -20,11 +20,6 @@ func matern52Asm(v *float64, n int, vr float64)
 // row into dst. See Matern52ARD.
 func matern52ARD8Asm(dst, sqd, inv2 *float64, n int, vr float64)
 
-// matern52ARD8x512 is matern52ARD8Asm widened to AVX-512: one ZMM register
-// holds a full 8-dimension row, eight rows are reduced per iteration, and
-// the Matérn/exp pipeline runs 8-wide. n must be a multiple of 8.
-func matern52ARD8x512(dst, sqd, inv2 *float64, n int, vr float64)
-
 // axpyAsm accumulates dst[i] += a*x[i] for i < n (n a multiple of 4).
 func axpyAsm(dst, x *float64, n int, a float64)
 
@@ -59,19 +54,6 @@ var useAsm = func() bool {
 	}
 	_, b7, _, _ := cpuid(7, 0)
 	return b7&(1<<5) != 0
-}()
-
-// useAVX512 gates the 512-bit kernel variants: on top of the AVX2+FMA
-// requirements it needs AVX512F in CPUID leaf 7 and opmask+ZMM state enabled
-// in XCR0 (bits 5–7). Every 512-bit instruction the kernels use is in the F
-// foundation set, so no DQ/BW/VL checks are needed.
-var useAVX512 = useAsm && func() bool {
-	_, b7, _, _ := cpuid(7, 0)
-	if b7&(1<<16) == 0 {
-		return false
-	}
-	lo, _ := xgetbv()
-	return lo&0xe6 == 0xe6
 }()
 
 // maternTab holds the constants for matern52Asm as 32-byte blocks (each

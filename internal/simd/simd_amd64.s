@@ -322,119 +322,6 @@ ard8done:
 	VZEROUPPER
 	RET
 
-// func matern52ARD8x512(dst, sqd, inv2 *float64, n int, vr float64)
-//
-// AVX-512 widening of matern52ARD8Asm: one ZMM register holds a full
-// 8-dimension row, eight rows reduce per iteration via an
-// unpack/VSHUFF64X2 tree, and the Matérn/exp pipeline runs 8-wide with
-// broadcast-from-memory constants (lane 0 of each ·maternTab block). Only
-// AVX512F instructions are used (VPXORQ for zeroing, a merge-masked move
-// instead of VANDPD — both XORPD/ANDPD on ZMM would need DQ), matching the
-// useAVX512 detection gate. n is a multiple of 8.
-TEXT ·matern52ARD8x512(SB), NOSPLIT, $0-40
-	MOVQ dst+0(FP), DI
-	MOVQ sqd+8(FP), SI
-	MOVQ inv2+16(FP), BX
-	MOVQ n+24(FP), CX
-	VBROADCASTSD vr+32(FP), Z15
-	LEAQ ·maternTab(SB), DX
-	VMOVUPD (BX), Z14            // inv2[0..7]
-	SHRQ $3, CX
-	JZ   ard512done
-
-ard512loop:
-	// Eight rows, one ZMM each, scaled by inv2.
-	VMOVUPD (SI), Z0
-	VMULPD  Z14, Z0, Z0
-	VMOVUPD 64(SI), Z1
-	VMULPD  Z14, Z1, Z1
-	VMOVUPD 128(SI), Z2
-	VMULPD  Z14, Z2, Z2
-	VMOVUPD 192(SI), Z3
-	VMULPD  Z14, Z3, Z3
-	VMOVUPD 256(SI), Z4
-	VMULPD  Z14, Z4, Z4
-	VMOVUPD 320(SI), Z5
-	VMULPD  Z14, Z5, Z5
-	VMOVUPD 384(SI), Z6
-	VMULPD  Z14, Z6, Z6
-	VMOVUPD 448(SI), Z7
-	VMULPD  Z14, Z7, Z7
-
-	// 8×8 transpose-reduce to Z1 = [r²0 … r²7].
-	// Level 1: adjacent-lane sums of row pairs, interleaved per 128-bit lane.
-	VUNPCKLPD Z1, Z0, Z8
-	VUNPCKHPD Z1, Z0, Z9
-	VADDPD    Z9, Z8, Z8         // p0 (rows 0,1)
-	VUNPCKLPD Z3, Z2, Z9
-	VUNPCKHPD Z3, Z2, Z10
-	VADDPD    Z10, Z9, Z9        // p1 (rows 2,3)
-	VUNPCKLPD Z5, Z4, Z10
-	VUNPCKHPD Z5, Z4, Z11
-	VADDPD    Z11, Z10, Z10      // p2 (rows 4,5)
-	VUNPCKLPD Z7, Z6, Z11
-	VUNPCKHPD Z7, Z6, Z12
-	VADDPD    Z12, Z11, Z11      // p3 (rows 6,7)
-	// Level 2: fold the four 128-bit blocks of each pair of p's.
-	VSHUFF64X2 $0x44, Z9, Z8, Z0
-	VSHUFF64X2 $0xEE, Z9, Z8, Z1
-	VADDPD     Z1, Z0, Z0        // S1 (rows 0..3)
-	VSHUFF64X2 $0x44, Z11, Z10, Z2
-	VSHUFF64X2 $0xEE, Z11, Z10, Z3
-	VADDPD     Z3, Z2, Z2        // S2 (rows 4..7)
-	// Level 3: final fold into row order.
-	VSHUFF64X2 $0x88, Z2, Z0, Z1
-	VSHUFF64X2 $0xDD, Z2, Z0, Z3
-	VADDPD     Z3, Z1, Z1        // r² per row
-
-	// Matérn-5/2 pipeline, 8-wide.
-	VSQRTPD Z1, Z2
-	VMULPD.BCST (DX), Z2, Z2     // s = sqrt5 * sqrt(r2)
-	VBROADCASTSD 32(DX), Z3
-	VADDPD  Z2, Z3, Z3           // 1 + s
-	VMULPD.BCST 64(DX), Z1, Z4
-	VADDPD  Z4, Z3, Z3           // A = 1 + s + (5/3) r2
-	VPXORQ  Z0, Z0, Z0
-	VSUBPD  Z2, Z0, Z0           // y = -s
-	VBROADCASTSD 96(DX), Z5      // expLo
-	VCMPPD  $0x0d, Z5, Z0, K1    // underflow mask: y >= expLo
-	VMAXPD  Z5, Z0, Z0
-	VMULPD.BCST 128(DX), Z0, Z4
-	VRNDSCALEPD $0, Z4, Z4       // k = round(y*log2e)
-	VMOVAPD Z0, Z5
-	VFNMADD231PD.BCST 160(DX), Z4, Z5 // r = y - k*ln2hi
-	VFNMADD231PD.BCST 192(DX), Z4, Z5 // r -= k*ln2lo
-	VBROADCASTSD 256(DX), Z6     // Horner from 1/11!
-	VFMADD213PD.BCST 288(DX), Z5, Z6
-	VFMADD213PD.BCST 320(DX), Z5, Z6
-	VFMADD213PD.BCST 352(DX), Z5, Z6
-	VFMADD213PD.BCST 384(DX), Z5, Z6
-	VFMADD213PD.BCST 416(DX), Z5, Z6
-	VFMADD213PD.BCST 448(DX), Z5, Z6
-	VFMADD213PD.BCST 480(DX), Z5, Z6
-	VFMADD213PD.BCST 512(DX), Z5, Z6
-	VFMADD213PD.BCST 544(DX), Z5, Z6
-	VFMADD213PD.BCST 576(DX), Z5, Z6
-	VFMADD213PD.BCST 608(DX), Z5, Z6 // P(r) = e^r
-	VCVTPD2DQ Z4, Y7
-	VPMOVSXDQ Y7, Z7
-	VPADDQ.BCST 224(DX), Z7, Z7
-	VPSLLQ  $52, Z7, Z7          // 2^k in the exponent bits
-	VMULPD  Z7, Z6, Z6
-	VMULPD  Z3, Z6, Z6
-	VMULPD  Z15, Z6, Z6
-	VPXORQ  Z8, Z8, Z8
-	VMOVAPD Z6, K1, Z8           // keep representable lanes, zero the rest
-	VMOVUPD Z8, (DI)
-	ADDQ $512, SI
-	ADDQ $64, DI
-	DECQ CX
-	JNZ  ard512loop
-
-ard512done:
-	VZEROUPPER
-	RET
-
 // func scaledExpAsm(v *float64, n int, vr float64) int
 //
 // In-place v[i] = vr·e^{v[i]}, four lanes per iteration, replaying the FMA

@@ -5,9 +5,6 @@ package simd
 // useAsm is false off amd64; every kernel takes the portable path.
 const useAsm = false
 
-// useAVX512 is false off amd64.
-const useAVX512 = false
-
 // The stubs below are never called when useAsm is false.
 
 func dot4Asm(p, q0, q1, q2, q3 *float64, n int) (s0, s1, s2, s3 float64) {
@@ -20,10 +17,6 @@ func matern52Asm(v *float64, n int, vr float64) {
 
 func matern52ARD8Asm(dst, sqd, inv2 *float64, n int, vr float64) {
 	panic("simd: matern52ARD8Asm called without assembly support")
-}
-
-func matern52ARD8x512(dst, sqd, inv2 *float64, n int, vr float64) {
-	panic("simd: matern52ARD8x512 called without assembly support")
 }
 
 func axpyAsm(dst, x *float64, n int, a float64) {
