@@ -18,11 +18,10 @@ import (
 type fitWS struct {
 	n, ns, d int
 	ard      bool
-	// sqd is the pair-major squared-difference tensor (ARD path):
-	// sqd[p*d+k] = (x_i[k]-x_j[k])² for packed pair p = (i,j), j ≤ i.
-	sqd []float64
-	// r2raw is the unscaled squared distance per packed pair (isotropic path).
-	r2raw []float64
+	// sqd caches appendSqDiffs over every packed pair p = (i, j ≤ i) of
+	// training inputs: sqd[p*d+k] = (x_i[k]-x_j[k])² when ARD, the unscaled
+	// squared distance sqd[p] otherwise.
+	sqd   []float64
 	y     []float64 // outputs standardised per task, training order
 	gram  []float64 // packed Gram workspace, rewritten every evaluation
 	inv2  []float64 // per-dimension 1/ℓ² for the current hyper-parameters
@@ -32,69 +31,38 @@ type fitWS struct {
 
 const log2pi = 1.8378770664093453 // log(2π)
 
-// newFitWS caches the hyper-parameter-independent parts of g's training set.
-// The outputs are standardised with g's current per-task constants, so call
+// newFitWS caches the hyper-parameter-independent parts of c's training set.
+// The outputs are standardised with c's current per-task constants, so call
 // standardise first.
-func newFitWS(g *GP) *fitWS {
-	n := g.N()
-	w := &fitWS{n: n, ns: len(g.xs), d: g.dim, ard: len(g.cov.Len) > 1}
-	np := mat.PackedLen(n)
-	if w.ard {
-		w.sqd = make([]float64, np*w.d)
-		idx := 0
-		for i := 0; i < n; i++ {
-			xi, _ := g.trainX(i)
-			for j := 0; j <= i; j++ {
-				xj, _ := g.trainX(j)
-				for k := 0; k < w.d; k++ {
-					dk := xi[k] - xj[k]
-					w.sqd[idx] = dk * dk
-					idx++
-				}
-			}
-		}
-	} else {
-		w.r2raw = make([]float64, np)
-		p := 0
-		for i := 0; i < n; i++ {
-			xi, _ := g.trainX(i)
-			for j := 0; j <= i; j++ {
-				xj, _ := g.trainX(j)
-				var s float64
-				for k := range xi {
-					dk := xi[k] - xj[k]
-					s += dk * dk
-				}
-				w.r2raw[p] = s
-				p++
-			}
-		}
-	}
-	w.y = g.yStdInto(nil)
-	w.gram = make([]float64, np)
+func newFitWS(c *core) *fitWS {
+	n := c.N()
+	w := &fitWS{n: n, ns: len(c.xs), d: c.dim, ard: len(c.cov.Len) > 1}
+	w.sqd = packedSqDiffs(c.trainXs(), w.ard)
+	w.y = c.yStdAll()
+	w.gram = make([]float64, mat.PackedLen(n))
 	w.inv2 = make([]float64, w.d)
 	w.alpha = make([]float64, n)
 	return w
 }
 
-// fillGram rebuilds the packed noisy Gram matrix K̃ + Λ for g's current
+// fillGram rebuilds the packed noisy Gram matrix K̃ + Λ for c's current
 // hyper-parameters from the cached distances. It matches (*GP).gram entry
 // for entry up to the ulp-level difference of accumulating Σ d²·(1/ℓ²)
 // instead of Σ (d/ℓ)².
 //
 //ppalint:noalloc
-func (w *fitWS) fillGram(g *GP) {
+func (w *fitWS) fillGram(c *core) {
 	np := mat.PackedLen(w.n)
 	gm := w.gram
-	vr := g.cov.Var
+	vr := c.cov.Var
 	if w.ard {
 		inv2 := w.inv2
-		for k, l := range g.cov.Len {
+		for k, l := range c.cov.Len {
 			inv2[k] = 1 / (l * l)
 		}
 		d := w.d
 		sq := w.sqd
-		switch g.cov.Kind {
+		switch c.cov.Kind {
 		case Matern52:
 			// One fused pass: the kernel scales each row of cached squared
 			// differences by 1/ℓ² and applies the distance→covariance
@@ -129,39 +97,32 @@ func (w *fitWS) fillGram(g *GP) {
 			}
 			simd.ScaledExp(gm[:np], vr)
 		default:
-			for p := 0; p < np; p++ {
-				row := sq[p*d : p*d+d : p*d+d]
-				var r2 float64
-				for k := 0; k < d; k++ {
-					r2 += row[k] * inv2[k]
-				}
-				gm[p] = g.cov.EvalR2(r2)
-			}
+			evalRows(gm[:np], sq, inv2, d, c.cov)
 		}
 	} else {
-		inv2 := 1 / (g.cov.Len[0] * g.cov.Len[0])
-		switch g.cov.Kind {
+		inv2 := 1 / (c.cov.Len[0] * c.cov.Len[0])
+		switch c.cov.Kind {
 		case Matern52:
-			for p, s := range w.r2raw {
+			for p, s := range w.sqd {
 				gm[p] = s * inv2
 			}
 			simd.Matern52FromR2(gm[:np], vr)
 		case RBF:
-			for p, s := range w.r2raw {
+			for p, s := range w.sqd {
 				gm[p] = -0.5 * (s * inv2)
 			}
 			simd.ScaledExp(gm[:np], vr)
 		default:
-			for p, s := range w.r2raw {
-				gm[p] = g.cov.EvalR2(s * inv2)
+			for p, s := range w.sqd {
+				gm[p] = c.cov.EvalR2(s * inv2)
 			}
 		}
 	}
 	// Scale the cross-task block (target rows × source columns) by ρ. The
 	// block is contiguous per row in packed layout, and hoisting ρ here keeps
 	// TransferFactor's math.Pow out of the per-pair loop entirely.
-	if g.hasSource {
-		if rho := TransferFactor(g.a, g.b); rho != 1 {
+	if c.hasSource {
+		if rho := TransferFactor(c.a, c.b); rho != 1 {
 			for i := w.ns; i < w.n; i++ {
 				off := mat.PackedLen(i)
 				seg := gm[off : off+w.ns]
@@ -176,21 +137,21 @@ func (w *fitWS) fillGram(g *GP) {
 	for i := 0; i < w.n; i++ {
 		di := mat.PackedLen(i) + i
 		if i < w.ns {
-			gm[di] += g.noiseS + 1e-8
+			gm[di] += c.noiseS + 1e-8
 		} else {
-			gm[di] += g.noiseT + 1e-8
+			gm[di] += c.noiseT + 1e-8
 		}
 	}
 }
 
 // nlml evaluates the negative log marginal likelihood of the cached data
-// under g's current hyper-parameters, reusing all workspace buffers. It
+// under c's current hyper-parameters, reusing all workspace buffers. It
 // applies the same jitter-retry ladder as the non-workspace path and returns
 // +Inf when the Gram matrix is not positive definite even with jitter.
 //
 //ppalint:noalloc
-func (w *fitWS) nlml(g *GP) float64 {
-	w.fillGram(g)
+func (w *fitWS) nlml(c *core) float64 {
+	w.fillGram(c)
 	if err := w.chol.FactorizePacked(w.gram, w.n, 1e-8, 6); err != nil {
 		return math.Inf(1)
 	}

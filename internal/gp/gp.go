@@ -21,25 +21,7 @@ import (
 // Eq. (8). A GP without source data degenerates to a standard GP — that is
 // exactly the surrogate of the TCAD'19 baseline.
 type GP struct {
-	cov            *Cov
-	noiseT, noiseS float64 // βt⁻¹ and βs⁻¹ (variances)
-	a, b           float64 // Gamma dissimilarity parameters of Eq. (6)
-
-	dim       int
-	hasSource bool
-
-	xs [][]float64 // source inputs (fixed after SetSource)
-	ys []float64   // raw source outputs
-	xt [][]float64 // target inputs (grow during tuning)
-	yt []float64   // raw target outputs
-
-	// Per-task output standardisation: a systematic offset or scale gap
-	// between the tasks (a larger design burns more power everywhere) would
-	// otherwise masquerade as task dissimilarity and destroy the cross-task
-	// correlation the transfer kernel needs. Each task is z-scored with its
-	// own constants; the kernel then correlates response *shapes*.
-	yMeanS, yStdS float64
-	yMeanT, yStdT float64
+	core
 
 	chol  *mat.Cholesky
 	alpha []float64
@@ -83,77 +65,7 @@ func (g *GP) SetWorkers(n int) { g.workers = n }
 // New returns a GP over dim-dimensional inputs with the given covariance
 // family. ard selects per-dimension lengthscales.
 func New(kind CovKind, dim int, ard bool) *GP {
-	return &GP{
-		cov:    NewCov(kind, dim, ard),
-		noiseT: 1e-4,
-		noiseS: 1e-4,
-		a:      0.1,
-		b:      1.0,
-		dim:    dim,
-		yStdS:  1,
-		yStdT:  1,
-	}
-}
-
-// SetSource installs the source-task dataset (historical configurations and
-// their QoR values). Must be called before Fit; enables the transfer kernel.
-func (g *GP) SetSource(x [][]float64, y []float64) error {
-	if len(x) != len(y) {
-		return fmt.Errorf("gp: source has %d inputs, %d outputs", len(x), len(y))
-	}
-	for _, xi := range x {
-		if len(xi) != g.dim {
-			return fmt.Errorf("gp: source input dim %d, want %d", len(xi), g.dim)
-		}
-	}
-	g.xs = x
-	g.ys = y
-	g.hasSource = len(x) > 0
-	return nil
-}
-
-// SetTarget installs the initial target-task observations.
-func (g *GP) SetTarget(x [][]float64, y []float64) error {
-	if len(x) != len(y) {
-		return fmt.Errorf("gp: target has %d inputs, %d outputs", len(x), len(y))
-	}
-	for _, xi := range x {
-		if len(xi) != g.dim {
-			return fmt.Errorf("gp: target input dim %d, want %d", len(xi), g.dim)
-		}
-	}
-	g.xt = append([][]float64(nil), x...)
-	g.yt = append([]float64(nil), y...)
-	return nil
-}
-
-// Rho returns the current cross-task correlation factor of Eq. (7).
-func (g *GP) Rho() float64 {
-	if !g.hasSource {
-		return 1
-	}
-	return TransferFactor(g.a, g.b)
-}
-
-// Cov returns the covariance function (for inspection in tests/ablations).
-func (g *GP) Cov() *Cov { return g.cov }
-
-// Noise returns the target and source noise variances (βt⁻¹, βs⁻¹).
-func (g *GP) Noise() (noiseT, noiseS float64) { return g.noiseT, g.noiseS }
-
-// N returns the current number of training points (source + target).
-func (g *GP) N() int { return len(g.xs) + len(g.xt) }
-
-// NTarget returns the number of target-task training points.
-func (g *GP) NTarget() int { return len(g.xt) }
-
-// trainX returns training input i in source-then-target order, plus whether
-// it belongs to the source task.
-func (g *GP) trainX(i int) ([]float64, bool) {
-	if i < len(g.xs) {
-		return g.xs[i], true
-	}
-	return g.xt[i-len(g.xs)], false
+	return &GP{core: newCore(kind, dim, ard)}
 }
 
 // ktrain evaluates the transfer kernel between training points i and j.
@@ -167,14 +79,10 @@ func (g *GP) ktrain(i, j int) float64 {
 	return v
 }
 
-// kvecTarget evaluates k̃(x, x_i) for a *target-task* test point against all
-// training points, writing into dst (len N).
-func (g *GP) kvecTarget(x []float64, dst []float64) {
-	g.kvecInto(x, dst, g.Rho())
-}
-
-// kvecInto is kvecTarget with the cross-task factor hoisted by the caller,
-// so sweeps over many test points pay TransferFactor's math.Pow once.
+// kvecInto evaluates k̃(x, x_i) for a *target-task* test point against all
+// training points, writing into dst (len N). The cross-task factor is
+// hoisted by the caller, so sweeps over many test points pay
+// TransferFactor's math.Pow once.
 func (g *GP) kvecInto(x []float64, dst []float64, rho float64) {
 	if g.cov.Kind == RBF {
 		// Eval's RBF arm in two passes: −r²/2 per training point, then
@@ -200,62 +108,6 @@ func (g *GP) kvecInto(x []float64, dst []float64, rho float64) {
 	for i, xi := range g.xt {
 		dst[off+i] = g.cov.Eval(x, xi)
 	}
-}
-
-// standardise recomputes the per-task output normalisation constants.
-func (g *GP) standardise() {
-	g.yMeanS, g.yStdS = meanStd(g.ys)
-	g.yMeanT, g.yStdT = meanStd(g.yt)
-	// With very few target observations the target scale estimate is
-	// unreliable; borrow the source scale, which describes the same kind of
-	// quantity.
-	if len(g.yt) < 4 && len(g.ys) >= 4 {
-		g.yStdT = g.yStdS
-	}
-}
-
-func meanStd(y []float64) (mean, std float64) {
-	if len(y) == 0 {
-		return 0, 1
-	}
-	for _, v := range y {
-		mean += v
-	}
-	mean /= float64(len(y))
-	for _, v := range y {
-		std += (v - mean) * (v - mean)
-	}
-	std = math.Sqrt(std / float64(len(y)))
-	if std < 1e-12 {
-		std = 1
-	}
-	return mean, std
-}
-
-// yStdAll returns all outputs in training order, standardised per task.
-func (g *GP) yStdAll() []float64 {
-	return g.yStdInto(nil)
-}
-
-// yStdInto is yStdAll writing into buf, which is grown (with ReserveAdds
-// headroom) only when too small.
-func (g *GP) yStdInto(buf []float64) []float64 {
-	n := g.N()
-	if cap(buf) < n {
-		buf = make([]float64, n, n+g.growth)
-	} else {
-		buf = buf[:n]
-	}
-	i := 0
-	for _, y := range g.ys {
-		buf[i] = (y - g.yMeanS) / g.yStdS
-		i++
-	}
-	for _, y := range g.yt {
-		buf[i] = (y - g.yMeanT) / g.yStdT
-		i++
-	}
-	return buf
 }
 
 // gram builds the full noisy Gram matrix K̃ + Λ for the current data and
@@ -330,7 +182,7 @@ func (g *GP) Rebuild() error {
 	if err := g.chol.FactorizePacked(g.gramBuf, n, 1e-8, 8); err != nil {
 		return fmt.Errorf("gp: posterior factorisation: %w", err)
 	}
-	g.yBuf = g.yStdInto(g.yBuf)
+	g.yBuf = g.yStdInto(g.yBuf, g.growth)
 	if cap(g.alpha) < n {
 		g.alpha = make([]float64, n, n+g.growth)
 	}
@@ -468,7 +320,7 @@ func (g *GP) Predict(x []float64) (mu, sd float64) {
 	}
 	n := g.N()
 	kv := make([]float64, n)
-	g.kvecTarget(x, kv)
+	g.kvecInto(x, kv, g.Rho())
 	muStd := mat.Dot(g.alpha, kv)
 	v := g.chol.SolveL(kv)
 	varStd := g.cov.Eval(x, x) + g.noiseT - mat.Dot(v, v)
@@ -486,22 +338,7 @@ func (g *GP) NLML() float64 {
 	if n == 0 {
 		return math.Inf(1)
 	}
-	return newFitWS(g).nlml(g)
-}
-
-// FitOptions bounds the hyper-parameter search.
-type FitOptions struct {
-	// MaxEvals caps Nelder–Mead objective evaluations (default 240).
-	MaxEvals int
-	// FixTransfer keeps (a, b) at their current values instead of fitting
-	// them (ablation hook).
-	FixTransfer bool
-	// Subsample caps the number of training points entering each marginal-
-	// likelihood evaluation (0 = use all). Large active-learning loops use
-	// this: each NLML evaluation is O(n³), so fitting on a deterministic
-	// stride subsample keeps refits cheap while the full posterior still
-	// uses every point.
-	Subsample int
+	return newFitWS(&g.core).nlml(&g.core)
 }
 
 // subsampled returns a copy of g whose data is a deterministic stride
@@ -511,10 +348,7 @@ func (g *GP) subsampled(n int) *GP {
 	if n <= 0 || total <= n {
 		return g
 	}
-	sub := New(g.cov.Kind, g.dim, len(g.cov.Len) > 1)
-	sub.cov = g.cov // share: Fit mutates these in place
-	sub.noiseT, sub.noiseS = g.noiseT, g.noiseS
-	sub.a, sub.b = g.a, g.b
+	sub := &GP{core: g.core} // shares g's Cov: Fit mutates it in place
 	take := func(x [][]float64, y []float64, k int) ([][]float64, []float64) {
 		if k >= len(x) {
 			return x, y
@@ -547,111 +381,14 @@ func (g *GP) Fit(opts FitOptions) error {
 	if g.N() == 0 {
 		return errors.New("gp: no training data")
 	}
-	if opts.MaxEvals <= 0 {
-		opts.MaxEvals = 240
-	}
 	g.standardise()
-
-	fitTransfer := g.hasSource && !opts.FixTransfer
 	// NLML is evaluated on a subsample when the training set is large; the
 	// winning hyper-parameters are copied back to g before the full rebuild.
 	work := g.subsampled(opts.Subsample)
 	work.standardise()
 	// The workspace caches pairwise distances and standardised outputs once;
-	// every Nelder–Mead evaluation below is then a scalar transform plus one
-	// packed factorisation into reused buffers.
-	ws := newFitWS(work)
-	pack := func() []float64 {
-		h := g.cov.hyper()
-		h = append(h, math.Log(g.noiseT))
-		if g.hasSource {
-			h = append(h, math.Log(g.noiseS))
-		}
-		if fitTransfer {
-			h = append(h, math.Log(g.a), math.Log(g.b))
-		}
-		return h
-	}
-	unpackInto := func(t *GP, h []float64) {
-		nc := 1 + len(t.cov.Len)
-		t.cov.setHyper(h[:nc])
-		i := nc
-		// The outputs are standardised, so 1e-4 is a 1%-of-σ noise floor: it
-		// keeps the posterior honest when few points make "noise-free" fits
-		// look attractive.
-		t.noiseT = clampExp(h[i], 1e-4, 1e2)
-		i++
-		if t.hasSource {
-			t.noiseS = clampExp(h[i], 1e-4, 1e2)
-			i++
-		}
-		if fitTransfer {
-			t.a = clampExp(h[i], 1e-4, 1e3)
-			t.b = clampExp(h[i+1], 1e-4, 1e3)
-		}
-	}
-	obj := func(h []float64) float64 {
-		unpackInto(work, h)
-		if work.cov.Var > 1e4 || work.cov.Var < 1e-6 {
-			return math.Inf(1)
-		}
-		// Inputs live in the normalised [0,1]^d parameter space, so
-		// lengthscales far outside it are degenerate extrapolators.
-		for _, l := range work.cov.Len {
-			if l > 8 || l < 0.02 {
-				return math.Inf(1)
-			}
-		}
-		// Weak log-normal priors guard against the overconfident optima
-		// (huge variance, tiny noise) that small active-learning training
-		// sets invite; they barely move well-identified fits.
-		penalty := 0.0
-		for _, l := range work.cov.Len {
-			d := (math.Log(l) - math.Log(0.7)) / 1.2
-			penalty += 0.5 * d * d
-		}
-		dv := math.Log(work.cov.Var) / 2.0
-		penalty += 0.5 * dv * dv
-		return ws.nlml(work) + penalty
-	}
-	// Multi-start: the marginal-likelihood surface is shallow along the
-	// transfer-dissimilarity direction, so a single simplex run can stall
-	// with a mediocre rho. Restart from the current parameters and from a
-	// "tasks are similar" initialisation, keep the best.
-	starts := [][]float64{pack()}
-	if fitTransfer {
-		saveA, saveB := g.a, g.b
-		g.a, g.b = 0.01, 1
-		starts = append(starts, pack())
-		g.a, g.b = saveA, saveB
-	}
-	// Reserve part of the budget to re-run the simplex from the best point
-	// found: a restart re-inflates the collapsed simplex and reliably walks
-	// the remaining shallow directions (noise, dissimilarity).
-	per := opts.MaxEvals / (len(starts) + 1)
-	bestV := math.Inf(1)
-	var best []float64
-	for _, s := range starts {
-		x, v := NelderMead(obj, s, 0.5, per)
-		if v < bestV {
-			bestV = v
-			best = x
-		}
-	}
-	if x, v := NelderMead(obj, best, 0.25, opts.MaxEvals-per*len(starts)); v < bestV {
-		best = x
-	}
-	unpackInto(g, best)
+	// every Nelder–Mead evaluation is then a scalar transform plus one packed
+	// factorisation into reused buffers.
+	g.fitHypers(opts, &work.core, newFitWS(&work.core).nlml)
 	return g.Rebuild()
-}
-
-func clampExp(logv, lo, hi float64) float64 {
-	v := math.Exp(logv)
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }

@@ -38,22 +38,9 @@ import (
 // (early iterations, n ≤ m) every add triggers a cheap full rebuild instead,
 // which keeps the approximation exact exactly when exactness is affordable.
 type SparseGP struct {
-	cov            *Cov
-	noiseT, noiseS float64
-	a, b           float64
-
-	dim       int
-	hasSource bool
-	m         int    // inducing budget
-	seed      uint64 // selection stream (see SelectInducing)
-
-	xs [][]float64
-	ys []float64
-	xt [][]float64
-	yt []float64
-
-	yMeanS, yStdS float64
-	yMeanT, yStdT float64
+	core
+	m    int    // inducing budget
+	seed uint64 // selection stream (see SelectInducing)
 
 	// Posterior state, valid after Rebuild/Fit.
 	u    [][]float64 // inducing inputs (views into xs/xt), source-first
@@ -85,18 +72,7 @@ func NewSparse(kind CovKind, dim int, ard bool, m int, seed uint64) *SparseGP {
 	if m <= 0 {
 		m = DefaultSparseM
 	}
-	return &SparseGP{
-		cov:    NewCov(kind, dim, ard),
-		noiseT: 1e-4,
-		noiseS: 1e-4,
-		a:      0.1,
-		b:      1.0,
-		dim:    dim,
-		m:      m,
-		seed:   seed,
-		yStdS:  1,
-		yStdT:  1,
-	}
+	return &SparseGP{core: newCore(kind, dim, ard), m: m, seed: seed}
 }
 
 // ReserveAdds declares expected future AddTarget observations; target-side
@@ -123,78 +99,12 @@ func (s *SparseGP) ReserveAdds(n int) {
 // results; n <= 1 stays sequential.
 func (s *SparseGP) SetWorkers(n int) { s.workers = n }
 
-// SetSource installs the source-task dataset; see (*GP).SetSource.
-func (s *SparseGP) SetSource(x [][]float64, y []float64) error {
-	if len(x) != len(y) {
-		return fmt.Errorf("gp: source has %d inputs, %d outputs", len(x), len(y))
-	}
-	for _, xi := range x {
-		if len(xi) != s.dim {
-			return fmt.Errorf("gp: source input dim %d, want %d", len(xi), s.dim)
-		}
-	}
-	s.xs = x
-	s.ys = y
-	s.hasSource = len(x) > 0
-	return nil
-}
-
-// SetTarget installs the initial target-task observations.
-func (s *SparseGP) SetTarget(x [][]float64, y []float64) error {
-	if len(x) != len(y) {
-		return fmt.Errorf("gp: target has %d inputs, %d outputs", len(x), len(y))
-	}
-	for _, xi := range x {
-		if len(xi) != s.dim {
-			return fmt.Errorf("gp: target input dim %d, want %d", len(xi), s.dim)
-		}
-	}
-	s.xt = append([][]float64(nil), x...)
-	s.yt = append([]float64(nil), y...)
-	return nil
-}
-
-// Rho returns the cross-task correlation factor of Eq. (7).
-func (s *SparseGP) Rho() float64 {
-	if !s.hasSource {
-		return 1
-	}
-	return TransferFactor(s.a, s.b)
-}
-
-// Cov returns the covariance function.
-func (s *SparseGP) Cov() *Cov { return s.cov }
-
-// Noise returns the target and source noise variances (βt⁻¹, βs⁻¹).
-func (s *SparseGP) Noise() (noiseT, noiseS float64) { return s.noiseT, s.noiseS }
-
-// N returns the number of training points (source + target).
-func (s *SparseGP) N() int { return len(s.xs) + len(s.xt) }
-
-// NTarget returns the number of target-task training points.
-func (s *SparseGP) NTarget() int { return len(s.xt) }
-
 // NInducing returns the current inducing-set size (≤ the budget m).
 func (s *SparseGP) NInducing() int { return len(s.u) }
 
 // InducingIdx returns a copy of the inducing-point indices in
 // source-then-target training order (diagnostics and tests).
 func (s *SparseGP) InducingIdx() []int { return append([]int(nil), s.uIdx...) }
-
-func (s *SparseGP) trainX(i int) ([]float64, bool) {
-	if i < len(s.xs) {
-		return s.xs[i], true
-	}
-	return s.xt[i-len(s.xs)], false
-}
-
-func (s *SparseGP) standardise() {
-	s.yMeanS, s.yStdS = meanStd(s.ys)
-	s.yMeanT, s.yStdT = meanStd(s.yt)
-	if len(s.yt) < 4 && len(s.ys) >= 4 {
-		s.yStdT = s.yStdS
-	}
-}
 
 // kuInto writes k̃(u_r, x) into dst for a point belonging to the source task
 // (src=true) or target task (src=false), applying ρ to cross-task entries.
@@ -208,35 +118,26 @@ func (s *SparseGP) kuInto(dst []float64, x []float64, src bool, rho float64) {
 	}
 }
 
-// selectInducingSet re-derives the inducing set for the current data and
+// chooseInducing selects min(m, N) inducing points under the current
 // lengthscales. Indices are sorted ascending, which in source-then-target
 // order means the inducing set is source-first — the same contiguous
-// cross-task block structure the exact GP's packed Gram uses.
-func (s *SparseGP) selectInducingSet() error {
-	n := s.N()
-	all := make([][]float64, n)
-	for i := range all {
-		all[i], _ = s.trainX(i)
-	}
-	m := s.m
-	if m > n {
-		m = n
-	}
-	idx, err := SelectInducing(all, s.cov.Len, m, s.seed)
+// cross-task block structure the exact GP's packed Gram uses. u holds views
+// into the training inputs; uSrc counts those from the source task.
+func (s *SparseGP) chooseInducing() (idx []int, u [][]float64, uSrc int, err error) {
+	all := s.trainXs()
+	idx, err = SelectInducing(all, s.cov.Len, min(s.m, len(all)), s.seed)
 	if err != nil {
-		return fmt.Errorf("gp: inducing selection: %w", err)
+		return nil, nil, 0, err
 	}
 	sort.Ints(idx)
-	s.uIdx = idx
-	s.u = make([][]float64, len(idx))
-	s.uSrc = 0
+	u = make([][]float64, len(idx))
 	for r, i := range idx {
-		s.u[r] = all[i]
+		u[r] = all[i]
 		if i < len(s.xs) {
-			s.uSrc++
+			uSrc++
 		}
 	}
-	return nil
+	return idx, u, uSrc, nil
 }
 
 // fillKuu writes the packed lower triangle of K_uu (+ jitter) into dst.
@@ -266,9 +167,11 @@ func (s *SparseGP) Rebuild() error {
 		return errors.New("gp: no training data")
 	}
 	s.standardise()
-	if err := s.selectInducingSet(); err != nil {
-		return err
+	idx, u, uSrc, err := s.chooseInducing()
+	if err != nil {
+		return fmt.Errorf("gp: inducing selection: %w", err)
 	}
+	s.uIdx, s.u, s.uSrc = idx, u, uSrc
 	m := len(s.u)
 	mp := mat.PackedLen(m)
 	if cap(s.kuuBuf) < mp {
@@ -459,7 +362,7 @@ func (s *SparseGP) NLML() float64 {
 	if err != nil {
 		return math.Inf(1)
 	}
-	return ws.nlml(s)
+	return ws.nlml(&s.core)
 }
 
 // Fit maximises the DTC marginal likelihood over the same hyper-parameters
@@ -473,81 +376,11 @@ func (s *SparseGP) Fit(opts FitOptions) error {
 	if s.N() == 0 {
 		return errors.New("gp: no training data")
 	}
-	if opts.MaxEvals <= 0 {
-		opts.MaxEvals = 240
-	}
 	s.standardise()
-	fitTransfer := s.hasSource && !opts.FixTransfer
 	ws, err := newSparseFitWS(s)
 	if err != nil {
 		return err
 	}
-	pack := func() []float64 {
-		h := s.cov.hyper()
-		h = append(h, math.Log(s.noiseT))
-		if s.hasSource {
-			h = append(h, math.Log(s.noiseS))
-		}
-		if fitTransfer {
-			h = append(h, math.Log(s.a), math.Log(s.b))
-		}
-		return h
-	}
-	unpack := func(h []float64) {
-		nc := 1 + len(s.cov.Len)
-		s.cov.setHyper(h[:nc])
-		i := nc
-		s.noiseT = clampExp(h[i], 1e-4, 1e2)
-		i++
-		if s.hasSource {
-			s.noiseS = clampExp(h[i], 1e-4, 1e2)
-			i++
-		}
-		if fitTransfer {
-			s.a = clampExp(h[i], 1e-4, 1e3)
-			s.b = clampExp(h[i+1], 1e-4, 1e3)
-		}
-	}
-	obj := func(h []float64) float64 {
-		unpack(h)
-		if s.cov.Var > 1e4 || s.cov.Var < 1e-6 {
-			return math.Inf(1)
-		}
-		for _, l := range s.cov.Len {
-			if l > 8 || l < 0.02 {
-				return math.Inf(1)
-			}
-		}
-		// The same weak log-normal priors as the exact GP's Fit; see there.
-		penalty := 0.0
-		for _, l := range s.cov.Len {
-			d := (math.Log(l) - math.Log(0.7)) / 1.2
-			penalty += 0.5 * d * d
-		}
-		dv := math.Log(s.cov.Var) / 2.0
-		penalty += 0.5 * dv * dv
-		return ws.nlml(s) + penalty
-	}
-	starts := [][]float64{pack()}
-	if fitTransfer {
-		saveA, saveB := s.a, s.b
-		s.a, s.b = 0.01, 1
-		starts = append(starts, pack())
-		s.a, s.b = saveA, saveB
-	}
-	per := opts.MaxEvals / (len(starts) + 1)
-	bestV := math.Inf(1)
-	var best []float64
-	for _, st := range starts {
-		x, v := NelderMead(obj, st, 0.5, per)
-		if v < bestV {
-			bestV = v
-			best = x
-		}
-	}
-	if x, v := NelderMead(obj, best, 0.25, opts.MaxEvals-per*len(starts)); v < bestV {
-		best = x
-	}
-	unpack(best)
+	s.fitHypers(opts, &s.core, ws.nlml)
 	return s.Rebuild()
 }

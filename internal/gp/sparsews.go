@@ -2,7 +2,6 @@ package gp
 
 import (
 	"math"
-	"sort"
 
 	"ppatuner/internal/mat"
 	"ppatuner/internal/simd"
@@ -45,102 +44,28 @@ type sparseFitWS struct {
 // newSparseFitWS freezes s's inducing set under the current lengthscales and
 // caches every hyper-independent quantity. Call s.standardise() first.
 func newSparseFitWS(s *SparseGP) (*sparseFitWS, error) {
-	n := s.N()
-	all := make([][]float64, n)
-	for i := range all {
-		all[i], _ = s.trainX(i)
-	}
-	m := s.m
-	if m > n {
-		m = n
-	}
-	idx, err := SelectInducing(all, s.cov.Len, m, s.seed)
+	_, u, uSrc, err := s.chooseInducing()
 	if err != nil {
 		return nil, err
 	}
-	// Ascending order = source-first, giving contiguous ρ blocks.
-	sort.Ints(idx)
-	u := make([][]float64, m)
-	uSrc := 0
-	for r, i := range idx {
-		u[r] = all[i]
-		if i < len(s.xs) {
-			uSrc++
-		}
-	}
-
+	n, m := s.N(), len(u)
 	w := &sparseFitWS{
 		n: n, ns: len(s.xs), d: s.dim,
 		m: m, uSrc: uSrc,
 		ard: len(s.cov.Len) > 1,
 	}
+	w.squu = packedSqDiffs(u, w.ard)
+	w.squf = crossSqDiffs(s.trainXs(), u, w.ard)
+	w.y = s.yStdAll()
+	for i, yv := range w.y {
+		if i < w.ns {
+			w.sumY2S += yv * yv
+		} else {
+			w.sumY2T += yv * yv
+		}
+	}
+
 	mp := mat.PackedLen(m)
-	if w.ard {
-		w.squu = make([]float64, mp*w.d)
-		p := 0
-		for i := 0; i < m; i++ {
-			for j := 0; j <= i; j++ {
-				for k := 0; k < w.d; k++ {
-					dk := u[i][k] - u[j][k]
-					w.squu[p] = dk * dk
-					p++
-				}
-			}
-		}
-		w.squf = make([]float64, n*m*w.d)
-		p = 0
-		for i := 0; i < n; i++ {
-			xi := all[i]
-			for r := 0; r < m; r++ {
-				ur := u[r]
-				for k := 0; k < w.d; k++ {
-					dk := xi[k] - ur[k]
-					w.squf[p] = dk * dk
-					p++
-				}
-			}
-		}
-	} else {
-		w.squu = make([]float64, mp)
-		p := 0
-		for i := 0; i < m; i++ {
-			for j := 0; j <= i; j++ {
-				var r2 float64
-				for k := range u[i] {
-					dk := u[i][k] - u[j][k]
-					r2 += dk * dk
-				}
-				w.squu[p] = r2
-				p++
-			}
-		}
-		w.squf = make([]float64, n*m)
-		p = 0
-		for i := 0; i < n; i++ {
-			xi := all[i]
-			for r := 0; r < m; r++ {
-				var r2 float64
-				for k := range xi {
-					dk := xi[k] - u[r][k]
-					r2 += dk * dk
-				}
-				w.squf[p] = r2
-				p++
-			}
-		}
-	}
-
-	w.y = make([]float64, n)
-	for i, yv := range s.ys {
-		w.y[i] = (yv - s.yMeanS) / s.yStdS
-		w.sumY2S += w.y[i] * w.y[i]
-	}
-	for j, yv := range s.yt {
-		i := len(s.ys) + j
-		w.y[i] = (yv - s.yMeanT) / s.yStdT
-		w.sumY2T += w.y[i] * w.y[i]
-	}
-
 	w.kuu = make([]float64, mp)
 	w.kfu = make([]float64, n*m)
 	w.bmat = make([]float64, mp)
@@ -150,30 +75,30 @@ func newSparseFitWS(s *SparseGP) (*sparseFitWS, error) {
 	return w, nil
 }
 
-// fillCov rewrites the K_uu and K_fu workspaces for s's current
+// fillCov rewrites the K_uu and K_fu workspaces for c's current
 // hyper-parameters from the cached distances, including the ρ factor on
 // cross-task entries and the diagonal jitter on K_uu.
 //
 //ppalint:noalloc
-func (w *sparseFitWS) fillCov(s *SparseGP) {
+func (w *sparseFitWS) fillCov(c *core) {
 	m := w.m
 	mp := mat.PackedLen(m)
-	vr := s.cov.Var
+	vr := c.cov.Var
 	if w.ard {
-		for k, l := range s.cov.Len {
+		for k, l := range c.cov.Len {
 			w.inv2[k] = 1 / (l * l)
 		}
-		switch s.cov.Kind {
+		switch c.cov.Kind {
 		case Matern52:
 			simd.Matern52ARD(w.kuu[:mp], w.squu, w.inv2, vr)
 			simd.Matern52ARD(w.kfu[:w.n*m], w.squf, w.inv2, vr)
 		default:
-			evalRows(w.kuu[:mp], w.squu, w.inv2, w.d, s.cov)
-			evalRows(w.kfu[:w.n*m], w.squf, w.inv2, w.d, s.cov)
+			evalRows(w.kuu[:mp], w.squu, w.inv2, w.d, c.cov)
+			evalRows(w.kfu[:w.n*m], w.squf, w.inv2, w.d, c.cov)
 		}
 	} else {
-		inv2 := 1 / (s.cov.Len[0] * s.cov.Len[0])
-		switch s.cov.Kind {
+		inv2 := 1 / (c.cov.Len[0] * c.cov.Len[0])
+		switch c.cov.Kind {
 		case Matern52:
 			for p, r2 := range w.squu {
 				w.kuu[p] = r2 * inv2
@@ -185,15 +110,15 @@ func (w *sparseFitWS) fillCov(s *SparseGP) {
 			simd.Matern52FromR2(w.kfu[:w.n*m], vr)
 		default:
 			for p, r2 := range w.squu {
-				w.kuu[p] = s.cov.EvalR2(r2 * inv2)
+				w.kuu[p] = c.cov.EvalR2(r2 * inv2)
 			}
 			for p, r2 := range w.squf {
-				w.kfu[p] = s.cov.EvalR2(r2 * inv2)
+				w.kfu[p] = c.cov.EvalR2(r2 * inv2)
 			}
 		}
 	}
-	if s.hasSource {
-		if rho := TransferFactor(s.a, s.b); rho != 1 {
+	if c.hasSource {
+		if rho := TransferFactor(c.a, c.b); rho != 1 {
 			// K_uu: target-inducing rows × source-inducing columns.
 			for i := w.uSrc; i < m; i++ {
 				off := mat.PackedLen(i)
@@ -238,13 +163,13 @@ func evalRows(dst, sqd, inv2 []float64, d int, cov *Cov) {
 	}
 }
 
-// nlml evaluates the DTC negative log marginal likelihood under s's current
+// nlml evaluates the DTC negative log marginal likelihood under c's current
 // hyper-parameters, reusing all workspace buffers. Returns +Inf when either
 // m×m factorisation fails even with jitter.
 //
 //ppalint:noalloc
-func (w *sparseFitWS) nlml(s *SparseGP) float64 {
-	w.fillCov(s)
+func (w *sparseFitWS) nlml(c *core) float64 {
+	w.fillCov(c)
 	m := w.m
 	if err := w.lm.FactorizePacked(w.kuu, m, 1e-8, 6); err != nil {
 		return math.Inf(1)
@@ -259,8 +184,8 @@ func (w *sparseFitWS) nlml(s *SparseGP) float64 {
 	for r := range w.zvec {
 		w.zvec[r] = 0
 	}
-	cS := 1 / s.noiseS
-	cT := 1 / s.noiseT
+	cS := 1 / c.noiseS
+	cT := 1 / c.noiseT
 	for i := 0; i < w.n; i++ {
 		c := cT
 		if i < w.ns {
@@ -275,6 +200,6 @@ func (w *sparseFitWS) nlml(s *SparseGP) float64 {
 	}
 	w.lb.SolveLInto(w.vbuf, w.zvec)
 	quad := cS*w.sumY2S + cT*w.sumY2T - mat.Dot(w.vbuf, w.vbuf)
-	logdet := float64(w.ns)*math.Log(s.noiseS) + float64(w.n-w.ns)*math.Log(s.noiseT) + w.lb.LogDet()
+	logdet := float64(w.ns)*math.Log(c.noiseS) + float64(w.n-w.ns)*math.Log(c.noiseT) + w.lb.LogDet()
 	return 0.5*quad + 0.5*logdet + 0.5*float64(w.n)*log2pi
 }
