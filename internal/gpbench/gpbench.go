@@ -4,12 +4,14 @@
 // successive PRs can see the trajectory of the GP fit/predict loop instead of
 // eyeballing `go test -bench` output diffs.
 //
-// The fixture mirrors the expensive end of the paper's workload: an ARD
-// Matérn-5/2 transfer GP over ~200 training points (120 source + 80 target,
-// 8 knobs) with a large attached candidate pool. FitRefit is the
-// hyper-parameter refit (up to 240 Nelder–Mead NLML evaluations), PredictPool
-// is the per-iteration posterior sweep over the whole pool, and AddTarget is
-// the incremental posterior/pool-cache update after one tool evaluation.
+// The fixture is an ARD Matérn-5/2 transfer GP over ~200 training points
+// (120 source + 80 target, 8 knobs) with a large attached candidate pool.
+// FitRefit is the hyper-parameter refit (up to 240 Nelder–Mead NLML
+// evaluations), PredictPool is the per-iteration posterior sweep over the
+// whole pool, and AddTarget is the incremental posterior/pool-cache update
+// after one tool evaluation. Tuning campaigns run the RBF kernel, so
+// FitRefit is the gate on the Matérn path (the fused d = 8 Gram kernel),
+// which no BENCHMARK.json workload exercises.
 package gpbench
 
 import (
